@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate for the cake-rs workspace.
 #
-#   ./ci.sh                full gate: tier-1, all tests, clippy, audit, verify, bench snapshot
+#   ./ci.sh                full gate: tier-1, all tests, benchmark tests, clippy,
+#                          audit, verify, smokes, bench snapshot
 #   ./ci.sh --fast         tier-1 + clippy only (skip audit + verify + bench snapshot)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
@@ -13,12 +14,6 @@
 #   ./ci.sh --sim-smoke    one deterministic + one fuzzed-ordering event-
 #                          simulator run per Table-2 CPU; exits 1 if any
 #                          same-tick permutation moves a traffic counter
-#   ./ci.sh --tune-smoke   one small-shape autotune run (candidate grid ->
-#                          sim ranking -> micro-bench refinement) with
-#                          --check: asserts the tuned winner is >= the
-#                          closed-form default and that the persisted
-#                          cache round-trips through
-#                          CakeConfig::autotuned_for
 #   ./ci.sh --audit        static analysis only (cakectl audit: unsafe ratchet
 #                          with transmute/static-mut ratchets, symbolic bounds
 #                          proofs, executor phase checker, and the call-graph
@@ -32,6 +27,10 @@
 #                          executor tests (needs a nightly toolchain with the
 #                          rust-src component; skips gracefully on stable-only
 #                          hosts)
+#
+# The benchmark tests build and test perfbench/ (its own Cargo package,
+# path dependencies on the library crates), so a library API change that
+# breaks the repository benchmark fails the gate.
 #
 # The bench snapshot rewrites BENCH_gemm.json in the repo root so the
 # pipelined executor's throughput, allocation-freedom, and pack-overlap
@@ -126,23 +125,6 @@ run_sim_smoke() {
     done
 }
 
-run_tune_smoke() {
-    # The tuning-loop gate in one command: autotune a small shape end to
-    # end (deterministic candidate grid, host-shaped sim ranking, top-K
-    # micro-bench with the closed-form default competing), write the
-    # winner to a throwaway cache, and --check that (a) the winner never
-    # measured below the default and (b) a fresh CakeConfig::autotuned_for
-    # sees exactly the persisted entry. Uses a temp cache path so the
-    # smoke never pollutes the user's target/cake-tune.json.
-    echo "==> tune smoke (cakectl tune --check on a small shape)"
-    local cache
-    cache=$(mktemp -u /tmp/cake-tune-smoke.XXXXXX.json)
-    cargo run --release -p cake-bench --bin cakectl -- \
-        tune --m 128 --k 128 --n 128 --dtype f32 --top-k 2 --reps 2 \
-        --cache "$cache" --check
-    rm -f "$cache"
-}
-
 run_audit() {
     echo "==> static analysis (cakectl audit)"
     cargo run --release -p cake-bench --bin cakectl -- audit
@@ -220,12 +202,6 @@ if [[ "${1:-}" == "--sim-smoke" ]]; then
     exit 0
 fi
 
-if [[ "${1:-}" == "--tune-smoke" ]]; then
-    run_tune_smoke
-    echo "==> ci.sh: tune smoke passed"
-    exit 0
-fi
-
 if [[ "${1:-}" == "--audit" ]]; then
     run_audit
     echo "==> ci.sh: audit passed"
@@ -255,13 +231,15 @@ echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${1:-}" != "--fast" ]]; then
+    echo "==> benchmark tests (perfbench/)"
+    cargo test --release --manifest-path perfbench/Cargo.toml
+
     run_audit
     run_verify
     run_scale_smoke
     run_kernel_smoke
     run_dtype_smoke
     run_sim_smoke
-    run_tune_smoke
 
     echo "==> bench snapshot (writes BENCH_gemm.json)"
     cargo run --release -p cake-bench --bin bench_snapshot -- --iters 10

@@ -35,7 +35,6 @@ use cake_bench::scaling::{
     counters_invariant, dtype_counters_invariant, kernel_counters_invariant, scaling_sane,
     sweep_dtypes, sweep_kernels, sweep_shape, DtypePoint, KernelPoint, ScalePoint,
 };
-use cake_bench::tune::{autotune_shape, TuneOptions};
 use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::topology;
 use cake_core::tune::overlap_efficiency;
@@ -160,54 +159,6 @@ fn tiny_net(p: usize) -> Sequential {
         .push(ReLU)
         .push(GlobalAvgPool)
         .push(Linear::random("fc", 32, 10, 3))
-}
-
-/// One tuned-vs-default comparison for the `autotune` section.
-struct TuneRow {
-    m: usize,
-    k: usize,
-    n: usize,
-    dtype: &'static str,
-    default_gflops: f64,
-    tuned_gflops: f64,
-    mc: usize,
-    kc: usize,
-    nc: usize,
-    tier: String,
-    speedup: f64,
-    sim_evaluations: usize,
-}
-
-/// Full tuning loop (sim ranking + micro-bench refinement) for one
-/// shape at dtype `T`; `tuned >= default` holds by construction because
-/// the closed-form default competes in the measured round.
-fn tune_row<T: cake_kernels::select::KernelSelect>(
-    m: usize,
-    k: usize,
-    n: usize,
-    p: usize,
-    iters: usize,
-) -> TuneRow {
-    let opts = TuneOptions {
-        top_k: 3,
-        reps: iters,
-        ..TuneOptions::default()
-    };
-    let out = autotune_shape::<T>(m, k, n, p, opts);
-    TuneRow {
-        m,
-        k,
-        n,
-        dtype: T::NAME,
-        default_gflops: out.default_gflops,
-        tuned_gflops: out.entry.gflops,
-        mc: out.entry.mc,
-        kc: out.entry.kc,
-        nc: out.entry.nc,
-        tier: out.entry.tier.clone(),
-        speedup: out.speedup(),
-        sim_evaluations: out.sim_evaluations,
-    }
 }
 
 fn main() {
@@ -503,70 +454,6 @@ fn main() {
     }
     sim.push_str("  ]");
     j.field(2, "sim", &sim, false);
-    // Autotune section: the full tuning loop (deterministic candidate
-    // grid -> host-shaped sim ranking -> top-K micro-bench) per fixed
-    // shape and dtype, recorded as tuned-vs-default GFLOP/s. The
-    // closed-form default competes in every measured round, so
-    // `tuned_gflops >= default_gflops` holds by construction; the run
-    // aborts if that invariant is ever violated. Schema docs in
-    // `cake_bench::output`.
-    let mut tune_rows: Vec<TuneRow> = Vec::new();
-    for &(m, k, n) in &shapes {
-        tune_rows.push(tune_row::<f32>(m, k, n, p, iters));
-        tune_rows.push(tune_row::<f64>(m, k, n, p, iters));
-        tune_rows.push(tune_row::<i8>(m, k, n, p, iters));
-        tune_rows.push(tune_row::<cake_matrix::Bf16>(m, k, n, p, iters));
-    }
-    for r in &tune_rows {
-        println!(
-            "{}x{}x{} tune {}: default {:.2} -> tuned {:.2} GF/s (x{:.3}, \
-             mc={} kc={} nc={} tier={})",
-            r.m,
-            r.k,
-            r.n,
-            r.dtype,
-            r.default_gflops,
-            r.tuned_gflops,
-            r.speedup,
-            r.mc,
-            r.kc,
-            r.nc,
-            r.tier
-        );
-        if r.tuned_gflops < r.default_gflops {
-            eprintln!(
-                "autotune {}x{}x{} {}: tuned {:.3} GF/s lost to default {:.3} GF/s",
-                r.m, r.k, r.n, r.dtype, r.tuned_gflops, r.default_gflops
-            );
-            std::process::exit(1);
-        }
-    }
-    let best_speedup = tune_rows.iter().map(|r| r.speedup).fold(0.0, f64::max);
-    println!("autotune best speedup over closed form: x{best_speedup:.3}");
-    let mut tn = String::from("[\n");
-    for (i, r) in tune_rows.iter().enumerate() {
-        tn.push_str(&format!(
-            "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"dtype\": \"{}\", \
-             \"default_gflops\": {}, \"tuned_gflops\": {}, \"speedup\": {}, \
-             \"mc\": {}, \"kc\": {}, \"nc\": {}, \"tier\": \"{}\", \
-             \"sim_evaluations\": {}}}{}\n",
-            r.m,
-            r.k,
-            r.n,
-            r.dtype,
-            f3(r.default_gflops),
-            f3(r.tuned_gflops),
-            f3(r.speedup),
-            r.mc,
-            r.kc,
-            r.nc,
-            r.tier,
-            r.sim_evaluations,
-            if i + 1 == tune_rows.len() { "" } else { "," }
-        ));
-    }
-    tn.push_str("  ]");
-    j.field(2, "autotune", &tn, false);
     j.field(
         2,
         "dnn_forward",

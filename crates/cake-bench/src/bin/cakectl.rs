@@ -5,9 +5,6 @@
 //! cakectl sim      --cpu intel|amd|arm --p P --m M --k K --n N [--algo cake|goto]
 //!                  [--fuzz-orderings N] [--trace] (`simulate` is an alias)
 //! cakectl search   --cpu intel|amd|arm --p P --n N [--steps S]
-//! cakectl tune     --m M --k K --n N [--p P] [--dtype f32|f64|bf16|int8]
-//!                  [--top-k K] [--reps R] [--l2-kib KIB] [--llc-mib MIB]
-//!                  [--cache PATH] [--no-save] [--check]
 //! cakectl traffic  --m M --k K --n N --bm BM --bk BK --bn BN [--policy hold|stream]
 //!                  [--dtype f32|f64|bf16|int8]
 //! cakectl gemm     --m M --k K --n N [--p P] [--iters I] [--stats] [--pin]
@@ -52,7 +49,8 @@
 //! differ across `p`, or if a point with real core headroom
 //! (`cores >= 2p`, unclamped) fails to beat the single-core baseline —
 //! the CB-block bandwidth and scaling claims as a CI gate
-//! (`ci.sh --scale-smoke`).
+//! (`ci.sh --scale-smoke`). The sweep runs f32 only: `--dtype` other than
+//! `f32` alongside `--threads` exits 2 rather than being ignored.
 //!
 //! `--kernel-smoke` runs one single-threaded GEMM per kernel tier the host
 //! supports on one fixed block grid and exits 1 unless the traffic
@@ -68,23 +66,10 @@
 //! iterations ran allocation-free, the zero-alloc warm-path guarantee
 //! extended to the narrow tier (`ci.sh --dtype-smoke`).
 //!
-//! `tune` runs the full autotuning loop for one `(m, k, n, dtype, p)`
-//! point: a deterministic candidate grid per kernel tier
-//! (`cake_core::tune::candidate_points`), ranked by the event-driven
-//! simulator on a host-shaped CPU config
-//! (`cake_sim::search::autotune` over `CpuConfig::detected_host`), with
-//! the top-K leaders re-measured by short on-host GEMM runs alongside the
-//! closed-form default. The measured winner — never slower than the
-//! default, which always competes — is cached in `target/cake-tune.json`
-//! (or `--cache` / `$CAKE_TUNE_CACHE`), where
-//! `CakeConfig::autotuned_for(m, k, n, dtype, p)` picks it up. `--check`
-//! exits 1 unless the winner is at least the default AND the cache
-//! round-trips through `autotuned_for` (`ci.sh --tune-smoke`).
-//!
-//! `verify` runs the full `cake-verify` harness: the differential fuzzer
-//! (default 256 cases; `--seed` or `CAKE_TEST_SEED` perturbs the stream),
-//! the model-conformance oracle, and the deterministic interleaving
-//! checker. Exit status 1 on any failure.
+//! `verify` runs the full `cake-verify` harness, three pillars: the
+//! differential fuzzer (default 256 cases; `--seed` or `CAKE_TEST_SEED`
+//! perturbs the stream), the model-conformance oracle, and the
+//! deterministic interleaving checker. Exit status 1 on any failure.
 //!
 //! `audit` runs the in-tree static analyses (`cake-audit`): the unsafe
 //! inventory against the committed `unsafe-ratchet.toml` (with transmute
@@ -277,116 +262,6 @@ fn cmd_search() {
     );
 }
 
-fn cmd_tune() {
-    use cake_bench::tune::{autotune_into_table, TuneOptions, TuneOutcome};
-    use cake_core::tune::TuneTable;
-
-    let (m, k, n) = (req_usize("--m"), req_usize("--k"), req_usize("--n"));
-    if m == 0 || k == 0 || n == 0 {
-        eprintln!(
-            "--m/--k/--n must be >= 1 (got {m}x{k}x{n}): there is nothing to tune on an \
-             empty problem\n\
-             usage: cakectl tune --m M --k K --n N [--dtype f32|f64|bf16|int8] [--p P] \
-             [--top-k K] [--reps R] [--l2-kib KIB] [--llc-mib MIB] [--cache PATH] \
-             [--no-save] [--check]"
-        );
-        std::process::exit(2);
-    }
-    let p = opt_usize("--p", 1);
-    let dtype = arg_value("--dtype").unwrap_or_else(|| "f32".into());
-    let opts = TuneOptions {
-        top_k: opt_usize("--top-k", 4),
-        reps: opt_usize("--reps", 3).max(1),
-        l2_bytes: opt_usize("--l2-kib", CakeConfig::default().l2_bytes >> 10) << 10,
-        llc_bytes: opt_usize("--llc-mib", CakeConfig::default().llc_bytes >> 20) << 20,
-    };
-    let cache = arg_value("--cache")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(TuneTable::default_path);
-
-    let mut table = TuneTable::load(&cache).unwrap_or_default();
-    let out: TuneOutcome = match dtype.as_str() {
-        "f32" => autotune_into_table::<f32>(&mut table, m, k, n, p, opts),
-        "f64" => autotune_into_table::<f64>(&mut table, m, k, n, p, opts),
-        "int8" => autotune_into_table::<i8>(&mut table, m, k, n, p, opts),
-        "bf16" => autotune_into_table::<cake_matrix::Bf16>(&mut table, m, k, n, p, opts),
-        other => {
-            eprintln!("unknown --dtype '{other}' (expected f32|f64|bf16|int8)");
-            std::process::exit(2);
-        }
-    };
-
-    let rows: Vec<Vec<String>> = out
-        .candidates
-        .iter()
-        .map(|c| {
-            let marker = match (c.shape == out.entry.shape() && c.tier.name() == out.entry.tier,
-                                c.is_default) {
-                (true, true) => "<= winner (default held)",
-                (true, false) => "<= winner",
-                (false, true) => "closed-form default",
-                _ => "",
-            };
-            vec![
-                format!("{}", c.shape),
-                c.tier.name().into(),
-                if c.sim_gflops > 0.0 { format!("{:.2}", c.sim_gflops) } else { "-".into() },
-                format!("{:.2}", c.gflops),
-                marker.into(),
-            ]
-        })
-        .collect();
-    println!(
-        "Autotune {m}x{k}x{n} dtype {dtype} p={p}: {} simulator evaluations, \
-         {} measured (best of {} reps)\n",
-        out.sim_evaluations,
-        out.candidates.len(),
-        opts.reps
-    );
-    println!(
-        "{}",
-        render_table(&["shape", "tier", "sim GF/s", "meas GF/s", ""], &rows)
-    );
-    println!(
-        "winner: mc={} kc={} nc={} tier={} at {:.2} GFLOP/s \
-         (default {:.2}, x{:.3})",
-        out.entry.mc, out.entry.kc, out.entry.nc,
-        out.entry.tier, out.entry.gflops, out.default_gflops, out.speedup()
-    );
-
-    if !has_flag("--no-save") {
-        if let Err(e) = table.save(&cache) {
-            eprintln!("failed to save tune cache {}: {e}", cache.display());
-            std::process::exit(1);
-        }
-        println!("cached -> {}", cache.display());
-    }
-
-    if has_flag("--check") {
-        // CI gate: tuned >= default, and the cache round-trips through
-        // the public `autotuned_for` loader.
-        if out.entry.gflops + 1e-9 < out.default_gflops {
-            eprintln!(
-                "tune check FAILED: winner {:.2} GFLOP/s below default {:.2}",
-                out.entry.gflops, out.default_gflops
-            );
-            std::process::exit(1);
-        }
-        std::env::set_var("CAKE_TUNE_CACHE", &cache);
-        let cfg = CakeConfig::autotuned_for(m, k, n, &dtype, p);
-        std::env::remove_var("CAKE_TUNE_CACHE");
-        if cfg.fixed_shape != Some(out.entry.shape()) {
-            eprintln!(
-                "tune check FAILED: cache round trip resolved {:?}, expected {}",
-                cfg.fixed_shape,
-                out.entry.shape()
-            );
-            std::process::exit(1);
-        }
-        println!("tune check: winner >= default and cache round-trips through autotuned_for: OK");
-    }
-}
-
 fn cmd_traffic() {
     let tp = TrafficParams {
         m: req_usize("--m"),
@@ -487,7 +362,9 @@ fn print_exec_stats(s: &ExecStats) {
 fn cmd_verify() {
     let cases = opt_usize("--cases", 256) as u32;
     let seed = arg_value("--seed").and_then(|v| v.parse::<u64>().ok());
-    println!("cake-verify: {cases} fuzz cases, conformance oracle, interleaving checker");
+    println!(
+        "cake-verify, three pillars: {cases} fuzz cases, conformance oracle, interleaving checker"
+    );
     match cake_verify::verify_all(cases, seed) {
         Ok(outcomes) => {
             for o in outcomes {
@@ -672,6 +549,16 @@ fn cmd_gemm() {
     }
 
     if let Some(list) = arg_value("--threads") {
+        // The sweep measures the f32 kernel only; a narrower --dtype would
+        // be silently ignored, so refuse it.
+        if let Some(dtype) = arg_value("--dtype").filter(|d| d != "f32") {
+            eprintln!(
+                "--threads runs an f32-only scaling sweep; --dtype {dtype} is not supported \
+                 with it\nusage: cakectl gemm --m M --k K --n N --threads P1,P2,... \
+                 [--check-counters] [--pin] (drop --dtype or pass --dtype f32)"
+            );
+            std::process::exit(2);
+        }
         let threads: Vec<usize> = list
             .split(',')
             .map(|t| match t.trim().parse::<usize>() {
@@ -823,14 +710,13 @@ fn main() {
         "shape" => cmd_shape(),
         "sim" | "simulate" => cmd_sim(),
         "search" => cmd_search(),
-        "tune" => cmd_tune(),
         "traffic" => cmd_traffic(),
         "gemm" => cmd_gemm(),
         "verify" => cmd_verify(),
         "audit" => cmd_audit(),
         _ => {
             eprintln!(
-                "usage: cakectl <shape|sim|search|tune|traffic|gemm|verify|audit> [options]\n\
+                "usage: cakectl <shape|sim|search|traffic|gemm|verify|audit> [options]\n\
                  see module docs (crates/cake-bench/src/bin/cakectl.rs) for flags"
             );
             std::process::exit(2);

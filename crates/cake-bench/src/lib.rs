@@ -25,4 +25,3 @@ pub mod figures;
 pub mod harness;
 pub mod output;
 pub mod scaling;
-pub mod tune;

@@ -84,24 +84,6 @@
 //!   - `cake_dram_bytes` / `goto_dram_bytes`: exact traffic counters
 //!     (u64; equal to the `cake_core::traffic` closed-form tally),
 //!   - `events`: discrete events processed for the two runs combined.
-//! - `autotune` — the closed tuning loop per fixed shape × dtype: each row
-//!   records what `cake_bench::tune::autotune_shape` found when it ranked
-//!   the deterministic candidate grid (`cake_core::tune::candidate_points`)
-//!   on a host-shaped simulator config (`CpuConfig::detected_host`) and
-//!   re-measured the top-K leaders plus the closed-form default with short
-//!   on-host GEMM runs. Fields per row:
-//!   - `m` / `k` / `n` / `dtype`: the tune point,
-//!   - `default_gflops`: the measured closed-form (`tuned_for`) baseline,
-//!   - `tuned_gflops`: the measured winner — **never below
-//!     `default_gflops`** because the default competes in the measured
-//!     round and wins ties (the run aborts if the invariant is violated),
-//!   - `speedup`: `tuned_gflops / default_gflops` (>= 1.0; equal to 1.0
-//!     means the closed form already won on this host),
-//!   - `mc` / `kc` / `nc` / `tier`: the winning block shape and kernel
-//!     tier, i.e. the `TunedEntry` a `CakeConfig::autotuned_for` cache hit
-//!     would pin,
-//!   - `sim_evaluations`: simulator runs spent ranking the candidate grid
-//!     (the cheap stage that kept the measured stage down to K+1 runs).
 //! - `dnn_forward` — tiny CNN forward pass: cold vs warm seconds, warm
 //!   GFLOP/s, warm allocations.
 

@@ -49,14 +49,6 @@ pub struct CakeConfig {
     /// no-op elsewhere). Off by default: pinning helps dedicated-machine
     /// benchmarks but hurts co-tenant workloads.
     pub pin_cores: bool,
-    /// Pin the kernel tier (set by [`autotuned_for`](Self::autotuned_for)
-    /// from a cached [`tune::TunedEntry`]). Falls back down the dispatch
-    /// ladder when this host cannot run the pinned tier for a dtype.
-    pub kernel_tier: Option<cake_kernels::KernelTier>,
-    /// Use this block shape instead of the analytic derivation (still
-    /// clamped to each problem's extents). Set by
-    /// [`autotuned_for`](Self::autotuned_for) from the autotune cache.
-    pub fixed_shape: Option<CbBlockShape>,
 }
 
 impl Default for CakeConfig {
@@ -72,8 +64,6 @@ impl Default for CakeConfig {
             freq_ghz: 3.0,
             force_portable_kernel: false,
             pin_cores: false,
-            kernel_tier: None,
-            fixed_shape: None,
         }
     }
 }
@@ -101,26 +91,6 @@ impl CakeConfig {
             llc_bytes,
             ..Self::default()
         }
-    }
-
-    /// [`tuned_for`](Self::tuned_for), upgraded by the autotune cache: when
-    /// `target/cake-tune.json` (or `$CAKE_TUNE_CACHE`) holds a winner for
-    /// exactly `(m, k, n, dtype, p)` — recorded by `cakectl tune` or the
-    /// `cake-bench` tuner — the returned config pins that winner's block
-    /// shape and kernel tier. With no cache hit this is `tuned_for`
-    /// unchanged, so the call can never do worse than the closed form it
-    /// replaces. `dtype` is an element NAME: `"f32"`/`"f64"`/`"int8"`/
-    /// `"bf16"`.
-    pub fn autotuned_for(m: usize, k: usize, n: usize, dtype: &str, p: usize) -> Self {
-        let mut cfg = Self::tuned_for(p, Self::default().llc_bytes);
-        // audit: cold one cache probe per config construction, no GEMM yet
-        if let Some(e) = tune::TuneTable::load_default()
-            .and_then(|t| t.lookup(m, k, n, dtype, p).cloned())
-        {
-            cfg.fixed_shape = Some(CbBlockShape::fixed(p.max(1), e.mc, e.kc, e.nc));
-            cfg.kernel_tier = cake_kernels::KernelTier::parse(&e.tier);
-        }
-        cfg
     }
 
     /// Resolve the thread count.
@@ -165,33 +135,23 @@ impl CakeConfig {
         let p = self.resolved_threads();
         // Provisional shape at alpha = 1 to learn the cache-constrained mc.
         let probe = CbBlockShape::derive(p, 1.0, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
-        let (alpha, alpha_source, analytic) = if let Some(fx) = self.fixed_shape {
-            // Autotune-cache shape: re-key to the resolved p (the cache
-            // stores the tuned p, which matches when the config came from
-            // `autotuned_for`) and skip the analytic derivation.
-            let fx = CbBlockShape::fixed(p, fx.mc, fx.kc, fx.nc)
-                .with_outer_tiles(fx.ko_blocks, fx.no_blocks);
-            (fx.alpha(), AlphaSource::Autotuned, fx)
-        } else {
-            let (alpha, alpha_source) = match self.alpha {
-                Some(a) => (a, AlphaSource::Explicit),
-                None => match self.dram_bw_gbs {
-                    Some(bw) => (
-                        tune::select_alpha(bw, probe.mc, macs_per_cycle, elem_bytes, self.freq_ghz),
-                        AlphaSource::BandwidthModel,
-                    ),
-                    // No bandwidth hint: widen the block to use the spare
-                    // LLC — a larger alpha only lowers the Eq. 2 demand.
-                    None => (
-                        tune::alpha_fill_llc(p, probe.mc.max(1), self.llc_bytes / elem_bytes),
-                        AlphaSource::LlcFill,
-                    ),
-                },
-            };
-            let analytic =
-                CbBlockShape::derive(p, alpha, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
-            (alpha, alpha_source, analytic)
+        let (alpha, alpha_source) = match self.alpha {
+            Some(a) => (a, AlphaSource::Explicit),
+            None => match self.dram_bw_gbs {
+                Some(bw) => (
+                    tune::select_alpha(bw, probe.mc, macs_per_cycle, elem_bytes, self.freq_ghz),
+                    AlphaSource::BandwidthModel,
+                ),
+                // No bandwidth hint: widen the block to use the spare
+                // LLC — a larger alpha only lowers the Eq. 2 demand.
+                None => (
+                    tune::alpha_fill_llc(p, probe.mc.max(1), self.llc_bytes / elem_bytes),
+                    AlphaSource::LlcFill,
+                ),
+            },
         };
+        let analytic =
+            CbBlockShape::derive(p, alpha, self.l2_bytes, self.llc_bytes, elem_bytes, mr, nr);
         let shape = clamp_shape_to_problem(analytic, m, k, n, mr, nr);
         let (mc_llc, mc_l2) =
             CbBlockShape::mc_bounds(p, alpha.max(1.0), self.l2_bytes, self.llc_bytes, elem_bytes);
@@ -215,16 +175,10 @@ impl CakeConfig {
 
     /// The microkernel a GEMM through this config dispatches to for element
     /// type `T`: the portable tier when `force_portable_kernel` is set,
-    /// else a pinned [`kernel_tier`](Self::kernel_tier) the host can run,
     /// otherwise the tier ladder's pick (honoring the `CAKE_KERNEL` cap).
     pub fn selected_kernel<T: KernelSelect>(&self) -> cake_kernels::Ukr<T> {
         if self.force_portable_kernel {
             return cake_kernels::portable_kernel::<T>();
-        }
-        if let Some(tier) = self.kernel_tier {
-            if let Some(ukr) = cake_kernels::tier_kernel::<T>(tier) {
-                return ukr;
-            }
         }
         cake_kernels::best_kernel::<T>()
     }
@@ -258,7 +212,7 @@ impl CakeConfig {
 /// across all `p` workers and blocks never exceed the matrix extents.
 /// Outer (LLC-level) tile extents pass through untouched — they count
 /// blocks, not elements, and the two-level schedule clamps them itself.
-pub(crate) fn clamp_shape_to_problem(
+fn clamp_shape_to_problem(
     shape: CbBlockShape,
     m: usize,
     k: usize,
@@ -800,54 +754,6 @@ mod tests {
             .explain_shape_for::<f32>(64, 64, 64)
             .kernel
             .starts_with("portable"));
-    }
-
-    #[test]
-    fn fixed_shape_bypasses_derivation_but_still_clamps() {
-        let tuned = CbBlockShape::fixed(2, 48, 192, 320);
-        let cfg = CakeConfig {
-            fixed_shape: Some(tuned),
-            ..CakeConfig::with_threads(2)
-        };
-        // Roomy problem: the pinned shape comes through verbatim.
-        let d = cfg.explain_shape(512, 512, 512, 6, 16, 4, 96.0);
-        assert_eq!(d.alpha_source, AlphaSource::Autotuned);
-        assert_eq!(d.shape, tuned);
-        // Tiny problem: extents still clamp the pinned shape.
-        let small = cfg.explain_shape(24, 32, 32, 6, 16, 4, 96.0);
-        assert!(small.shape.kc <= 32);
-        assert!(small.shape.mc < 48);
-        // And the GEMM it drives stays correct.
-        let a = init::random::<f32>(60, 70, 91);
-        let b = init::random::<f32>(70, 50, 92);
-        let mut c = Matrix::<f32>::zeros(60, 50);
-        cake_sgemm(&a, &b, &mut c, &cfg);
-        assert_gemm_eq(&c, &naive(&a, &b), 70);
-    }
-
-    #[test]
-    fn autotuned_for_reads_the_cache_and_falls_back() {
-        use crate::tune::{TuneTable, TunedEntry};
-        let dir = std::env::temp_dir().join("cake-autotuned-for-test");
-        let path = dir.join("cake-tune.json");
-        let mut t = TuneTable::default();
-        t.insert(TunedEntry {
-            m: 96, k: 96, n: 96, dtype: "f32".into(), p: 2,
-            mc: 24, kc: 96, nc: 96, tier: "portable".into(), gflops: 1.0,
-        });
-        t.save(&path).expect("save");
-        std::env::set_var("CAKE_TUNE_CACHE", &path);
-        let hit = CakeConfig::autotuned_for(96, 96, 96, "f32", 2);
-        let miss = CakeConfig::autotuned_for(97, 96, 96, "f32", 2);
-        std::env::remove_var("CAKE_TUNE_CACHE");
-        assert_eq!(hit.fixed_shape, Some(CbBlockShape::fixed(2, 24, 96, 96)));
-        assert_eq!(hit.kernel_tier, Some(cake_kernels::KernelTier::Portable));
-        assert!(hit.selected_kernel::<f32>().name().starts_with("portable"));
-        // Cache miss degrades to plain `tuned_for`.
-        assert_eq!(miss.fixed_shape, None);
-        assert_eq!(miss.kernel_tier, None);
-        assert_eq!(miss.threads, Some(2));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -35,8 +35,5 @@ pub mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub mod avx512;
 
-pub use select::{
-    available_tiers, best_kernel, portable_kernel, registered_tile, registered_tiles_for,
-    tier_kernel, KernelTier,
-};
+pub use select::{available_tiers, best_kernel, portable_kernel, tier_kernel, KernelTier};
 pub use ukernel::Ukr;

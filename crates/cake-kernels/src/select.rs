@@ -147,48 +147,6 @@ pub const REGISTERED_SHAPES: [(&str, usize, usize); 14] = [
     ("avx512_bf16_14x32", 14, 32),
 ];
 
-/// `(tier, mr, nr)` for every entry of [`REGISTERED_SHAPES`] matching
-/// `dtype`, in registry order (primary kernel first within each tier).
-/// `dtype` is an [`element NAME`](cake_matrix::Element::NAME) —
-/// `"f32"`/`"f64"`/`"int8"`/`"bf16"` (`"i8"` accepted as an alias).
-/// Static metadata, independent of host CPU detection: the autotuner's
-/// candidate generator quantifies over this so a tuned table built on one
-/// host stays meaningful on another.
-pub fn registered_tiles_for(dtype: &str) -> Vec<(KernelTier, usize, usize)> {
-    let token = match dtype {
-        "int8" | "i8" => "_i8_",
-        "f32" => "_f32_",
-        "f64" => "_f64_",
-        "bf16" => "_bf16_",
-        _ => return Vec::new(),
-    };
-    let mut out = Vec::new();
-    for (name, mr, nr) in REGISTERED_SHAPES {
-        if !name.contains(token) {
-            continue;
-        }
-        let tier = if name.starts_with("portable_") {
-            KernelTier::Portable
-        } else if name.starts_with("avx2_") {
-            KernelTier::Avx2
-        } else {
-            KernelTier::Avx512
-        };
-        out.push((tier, mr, nr));
-    }
-    out
-}
-
-/// Register-tile shape `(mr, nr)` of the primary registered kernel for
-/// `(tier, dtype)`, or `None` when no kernel of that dtype exists at that
-/// tier. See [`registered_tiles_for`] for the dtype naming convention.
-pub fn registered_tile(tier: KernelTier, dtype: &str) -> Option<(usize, usize)> {
-    registered_tiles_for(dtype)
-        .into_iter()
-        .find(|&(t, _, _)| t == tier)
-        .map(|(_, mr, nr)| (mr, nr))
-}
-
 /// Element types with a kernel registry. Implemented for `f32`, `f64`,
 /// `i8` (i32 accumulate) and [`Bf16`] (f32 accumulate).
 pub trait KernelSelect: Dtype {
@@ -321,26 +279,6 @@ mod tests {
         assert!(kf.mr() * kf.nr() <= crate::edge::MAX_TILE);
         let kd = best_kernel::<f64>();
         assert!(kd.mr() * kd.nr() <= crate::edge::MAX_TILE);
-    }
-
-    #[test]
-    fn registered_tiles_cover_every_dtype_at_every_tier() {
-        for dtype in ["f32", "f64", "int8", "bf16"] {
-            let tiles = registered_tiles_for(dtype);
-            assert!(tiles.len() >= 3, "{dtype}: at least one kernel per tier");
-            for tier in KernelTier::ALL {
-                assert!(tiles.iter().any(|&(t, _, _)| t == tier), "{dtype} lacks {}", tier.name());
-                let (mr, nr) = registered_tile(tier, dtype)
-                    .unwrap_or_else(|| panic!("{dtype} missing at {}", tier.name()));
-                assert!(mr >= 1 && nr >= 1);
-                assert!(mr * nr <= crate::edge::MAX_TILE);
-            }
-        }
-        // Aliases and unknowns.
-        assert_eq!(registered_tiles_for("i8"), registered_tiles_for("int8"));
-        assert!(registered_tiles_for("f16").is_empty());
-        assert_eq!(registered_tile(KernelTier::Avx512, "f32"), Some((14, 32)));
-        assert_eq!(registered_tile(KernelTier::Avx2, "int8"), Some((4, 8)));
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! workspace's relative `gemm_tolerance` bound only where cancellation
 //! makes ULP distance meaningless.
 //!
+//! One case in four instead draws a wide block over larger extents: `mc`
+//! and `nc` past the widest registered register tile, so every tier's
+//! kernel also stores full tiles straight into `C` (row- and column-major
+//! strides) instead of only into the edge path's scratch tile, with the
+//! block still overhanging the problem in some dimension much of the time.
+//!
 //! On top of the three engines, every case also sweeps the CAKE executor
 //! over **all kernel tiers available on the host**
 //! (`cake_kernels::available_tiers()`: portable always, AVX2 and AVX-512
@@ -30,7 +36,7 @@ use cake_core::shape::CbBlockShape;
 use cake_core::workspace::GemmWorkspace;
 use cake_goto::api::{goto_gemm_views, GotoConfig};
 use cake_goto::naive::naive_gemm_views_acc;
-use cake_kernels::select::KernelSelect;
+use cake_kernels::select::{KernelSelect, REGISTERED_SHAPES};
 use cake_kernels::{available_tiers, best_kernel, portable_kernel, tier_kernel};
 use cake_matrix::{init, Bf16, Element, Layout, Matrix};
 use proptest::test_runner::TestRng;
@@ -307,15 +313,47 @@ fn gen_dim(rng: &mut TestRng) -> usize {
     }
 }
 
+/// The largest `mr` and the largest `nr` over every registered kernel.
+fn widest_tile() -> (usize, usize) {
+    REGISTERED_SHAPES
+        .iter()
+        .fold((1, 1), |(m, n), &(_, mr, nr)| (m.max(mr), n.max(nr)))
+}
+
 fn gen_case(rng: &mut TestRng) -> GemmCase {
+    // Wide cases (see the module docs): small blocks never fill a 14x32 or
+    // 16x16 AVX-512 tile, so those kernels would only ever write C through
+    // the edge path's scratch tile.
+    let wide = rng.next_u64().is_multiple_of(4);
+    let (m, k, n) = if wide {
+        let mut dim = || 8 + (rng.next_u64() % 65) as usize;
+        (dim(), dim(), dim())
+    } else {
+        (gen_dim(rng), gen_dim(rng), gen_dim(rng))
+    };
+    let p = 1 + (rng.next_u64() % 3) as usize;
+    let (mc, kc, nc) = if wide {
+        let (mr, nr) = widest_tile();
+        (
+            mr + (rng.next_u64() % (2 * mr as u64 + 1)) as usize,
+            2 + (rng.next_u64() % 79) as usize,
+            nr + (rng.next_u64() % (2 * nr as u64 + 1)) as usize,
+        )
+    } else {
+        (
+            2 + (rng.next_u64() % 11) as usize,
+            2 + (rng.next_u64() % 11) as usize,
+            4 + (rng.next_u64() % 17) as usize,
+        )
+    };
     GemmCase {
-        m: gen_dim(rng),
-        k: gen_dim(rng),
-        n: gen_dim(rng),
-        p: 1 + (rng.next_u64() % 3) as usize,
-        mc: 2 + (rng.next_u64() % 11) as usize,
-        kc: 2 + (rng.next_u64() % 11) as usize,
-        nc: 4 + (rng.next_u64() % 17) as usize,
+        m,
+        k,
+        n,
+        p,
+        mc,
+        kc,
+        nc,
         a_transposed: rng.next_u64() & 1 == 1,
         b_strided: rng.next_u64() & 1 == 1,
         c_colmajor: rng.next_u64() & 1 == 1,
@@ -721,12 +759,22 @@ mod tests {
         let mut rng = TestRng::for_test_with_seed("cake_verify::fuzz", 0);
         let mut any_zero = false;
         let mut any_one = false;
+        let mut full_tiles = false;
+        let mut overhang = [false; 3];
+        let (mr, nr) = widest_tile();
         for _ in 0..256 {
             let c = gen_case(&mut rng);
             any_zero |= c.m == 0 || c.k == 0 || c.n == 0;
             any_one |= c.m == 1 || c.k == 1 || c.n == 1;
+            full_tiles |= c.m >= mr && c.mc >= mr && c.n >= nr && c.nc >= nr;
+            let dims = [(c.mc, c.m), (c.kc, c.k), (c.nc, c.n)];
+            for (seen, (block, extent)) in overhang.iter_mut().zip(dims) {
+                *seen |= extent > 1 && block > extent;
+            }
         }
         assert!(any_zero && any_one, "stream must include 0 and 1 extents");
+        assert!(full_tiles, "stream must fill the widest register tile");
+        assert_eq!(overhang, [true; 3], "blocks must overhang every extent");
     }
 
     #[test]

@@ -2,14 +2,18 @@
 //! layer that cross-checks what the machine *measures* against what the
 //! paper *predicts*.
 //!
-//! Four pillars, one per module:
+//! Three pillars, one per module:
 //!
 //! * [`fuzz`] — a seeded **differential fuzzer**: random GEMM cases
 //!   (degenerate 0/1 extents, strided/transposed views, row/col-major C,
 //!   f32/f64, integer and real data) run through the CAKE executor, the
 //!   GOTO loop nest, and the naive reference on identical inputs, compared
 //!   per element with ULP bounds scaled by `K`, and shrunk to a minimal
-//!   reproducer on failure.
+//!   reproducer on failure. Every case also runs under every kernel tier
+//!   the host supports, at all four dtypes (int8 at 0 ULP), over fixed
+//!   block shapes that include `kc != mc`, blocks overhanging the problem,
+//!   and blocks wide enough that each tier stores full register tiles
+//!   straight into `C`.
 //! * [`conformance`] — the **model-conformance oracle**: runs the executor
 //!   with `traffic-counters` enabled and reconciles the measured element
 //!   traffic with `cake_core::traffic` *exactly*, with the closed forms of
@@ -25,27 +29,19 @@
 //!   that snake reversals hit the ring. Seeded mutants (barriers removed,
 //!   live-panel eviction) validate that the checker actually detects the
 //!   failure modes it claims to.
-//! * [`tuned`] — a **tuned-vs-default differential check**: seeded random
-//!   problems at all four dtypes run under the closed-form default block
-//!   shape and under a sample of the autotuner's candidate grid
-//!   (`cake_core::tune::candidate_points`, tier-pinned kernels included),
-//!   compared against the naive reference and against each other — int8
-//!   exactly at 0 ULP, floats within the fuzzer's K-scaled ULP bounds —
-//!   so a shape the tuner might promote can never change the answer.
 //!
-//! All four are wired into `cakectl verify` and `./ci.sh --verify`.
+//! All three are wired into `cakectl verify` and `./ci.sh --verify`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod conformance;
 pub mod fuzz;
 pub mod interleave;
-pub mod tuned;
 
 /// One verification pillar's outcome, for CLI reporting.
 #[derive(Debug)]
 pub struct PillarOutcome {
-    /// Pillar name (`fuzz`, `conformance`, `interleave`, `tuned`).
+    /// Pillar name (`fuzz`, `conformance`, `interleave`).
     pub name: &'static str,
     /// Human-readable summary lines.
     pub lines: Vec<String>,
@@ -80,15 +76,6 @@ pub fn verify_all(cases: u32, seed: Option<u64>) -> Result<Vec<PillarOutcome>, S
         lines: suite.summary_lines(),
     });
 
-    // Tuned-vs-default: a fraction of the fuzz budget (each case runs
-    // 4 dtypes x ~6 executor configurations).
-    let tuned_cases = (cases / 8).max(4);
-    let trep = tuned::run(tuned_cases, seed.unwrap_or_else(proptest::test_runner::env_seed))?;
-    out.push(PillarOutcome {
-        name: "tuned",
-        lines: trep.summary_lines(),
-    });
-
     Ok(out)
 }
 
@@ -97,7 +84,7 @@ mod tests {
     #[test]
     fn verify_all_passes_at_reduced_case_count() {
         let outcomes = super::verify_all(24, Some(7)).expect("verification suite must pass");
-        assert_eq!(outcomes.len(), 4);
+        assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             assert!(!o.lines.is_empty(), "{} produced no summary", o.name);
         }

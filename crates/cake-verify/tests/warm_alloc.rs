@@ -13,10 +13,13 @@
 //! The claim is made for the `p = 1` inline pool: a size-1 [`ThreadPool`]
 //! runs the job on the caller thread with no cross-thread channel traffic
 //! (multi-worker pools heap-allocate one channel node per broadcast, which
-//! is pool bookkeeping, not GEMM warm-path work).
+//! is pool bookkeeping, not GEMM warm-path work). That is also why the
+//! tally is per thread: it counts the calling thread's allocations only,
+//! so tests running in parallel on sibling threads never leak into each
+//! other's deltas.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
@@ -26,29 +29,44 @@ use cake_kernels::select::{portable_kernel, KernelSelect};
 use cake_matrix::{init, Bf16, Matrix};
 
 /// Counts every allocation path (`alloc`, `alloc_zeroed`, `realloc`)
-/// through the global allocator; frees are not counted — the property
-/// under test is "no fresh allocation", not "no traffic".
+/// through the global allocator, per thread; frees are not counted — the
+/// property under test is "no fresh allocation", not "no traffic".
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count. Const-initialised with a drop-free
+    /// type, so reading it never allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bump the calling thread's tally. `try_with` keeps the allocator from
+/// panicking if a thread allocates while its TLS is being torn down.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 // SAFETY: delegates every operation verbatim to `System`, which upholds
 // the `GlobalAlloc` contract; the counter is a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -79,7 +97,7 @@ fn steady_state_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
         execute_with_stats_in(&a.view(), &b.view(), &mut c.view_mut(), &shape, &ukr, &pool, &mut ws);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let stats = execute_with_stats_in(
         &a.view(),
         &b.view(),
@@ -89,7 +107,7 @@ fn steady_state_allocs<T: KernelSelect>(a: Matrix<T>, b: Matrix<T>) -> u64 {
         &pool,
         &mut ws,
     );
-    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    let delta = allocs() - before;
     assert_eq!(stats.allocations, 0, "workspace must be steady after warmup");
     delta
 }
@@ -130,9 +148,9 @@ fn warm_path_performs_zero_allocations_bf16() {
 /// four zero-assertions above would pass vacuously.
 #[test]
 fn counting_allocator_observes_allocations() {
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     let v: Vec<u64> = Vec::with_capacity(64);
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     drop(v);
     assert!(after > before, "Vec::with_capacity(64) must hit the global allocator");
 }
