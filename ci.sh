@@ -3,7 +3,8 @@
 #
 #   ./ci.sh                full gate: tier-1, all tests, benchmark tests, clippy,
 #                          audit, verify, smokes, bench snapshot
-#   ./ci.sh --fast         tier-1 + clippy only (skip audit + verify + bench snapshot)
+#   ./ci.sh --fast         tier-1, all tests, benchmark tests, clippy (skip audit,
+#                          verify, smokes, bench snapshot)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
 #   ./ci.sh --kernel-smoke one GEMM per available kernel tier (portable/avx2/
@@ -30,7 +31,8 @@
 #
 # The benchmark tests build and test perfbench/ (its own Cargo package,
 # path dependencies on the library crates), so a library API change that
-# breaks the repository benchmark fails the gate.
+# breaks the repository benchmark fails the fast gate as well as the full
+# one.
 #
 # The bench snapshot rewrites BENCH_gemm.json in the repo root so the
 # pipelined executor's throughput, allocation-freedom, and pack-overlap
@@ -227,13 +229,13 @@ cargo test -q
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+echo "==> benchmark tests (perfbench/)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 if [[ "${1:-}" != "--fast" ]]; then
-    echo "==> benchmark tests (perfbench/)"
-    cargo test --release --manifest-path perfbench/Cargo.toml
-
     run_audit
     run_verify
     run_scale_smoke

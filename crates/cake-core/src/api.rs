@@ -362,6 +362,84 @@ impl CakeGemm {
         b: &Matrix<T>,
         c: &mut Matrix<T::Acc>,
     ) -> ExecStats {
+        let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
+        let stats = self.run(&a.view(), &b.view(), c, workspace_for::<T>(&mut map));
+        self.record(stats)
+    }
+
+    /// `C += A * B` where the `k x n` row-major `B` is written in place by
+    /// `fill` into a grow-only staging buffer this context keeps per
+    /// element type — the conv layers' im2col patches, so one buffer
+    /// serves every layer of every forward pass. `fill` must write every
+    /// element of the slice it is handed (the buffer is reused dirty), and
+    /// must not call back into this context. Returns the call's
+    /// [`ExecStats`]; `allocations` counts a staging growth too.
+    pub fn gemm_staged<T: KernelSelect>(
+        &self,
+        a: &Matrix<T>,
+        k: usize,
+        n: usize,
+        fill: impl FnOnce(&mut [T]),
+        c: &mut Matrix<T::Acc>,
+    ) -> ExecStats {
+        if a.rows() == 0 || k == 0 || n == 0 {
+            return self.record(ExecStats::default());
+        }
+        let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
+        let ws = workspace_for::<T>(&mut map);
+        // Out of the workspace for the call: B borrows it while the
+        // executor borrows the packing buffers.
+        let (mut staging, fresh) = ws.take_staging(k * n);
+        let b = &mut staging[..k * n];
+        fill(b);
+        let mut stats = self.run(&a.view(), &MatrixView::row_major(b, k, n, n), c, ws);
+        ws.staging = staging;
+        stats.allocations += fresh;
+        stats.workspace_bytes = ws.bytes();
+        self.record(stats)
+    }
+
+    /// A `rows x cols` row-major matrix for a result the caller overwrites
+    /// in full: a spent one of the same extents handed back through
+    /// [`recycle`](Self::recycle), still holding its old values, or else a
+    /// fresh zeroed one. The DNN layers take their outputs from here, so a
+    /// forward pass that recycles each layer's input makes no large
+    /// allocation once warm, and frees none back to the system allocator.
+    pub fn scratch_matrix<T: KernelSelect>(&self, rows: usize, cols: usize) -> Matrix<T> {
+        let spare = {
+            let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
+            workspace_for::<T>(&mut map).take_spare(rows, cols)
+        };
+        // audit: cold first request for these extents; recycled ones are reused
+        spare.unwrap_or_else(|| Matrix::zeros(rows, cols))
+    }
+
+    /// Keep `m` for a later [`scratch_matrix`](Self::scratch_matrix) of
+    /// the same extents. The context keeps at most
+    /// [`MAX_SPARES`](crate::workspace::MAX_SPARES) per element type and
+    /// drops the oldest past that; empty and column-major matrices are
+    /// dropped at once.
+    pub fn recycle<T: KernelSelect>(&self, m: Matrix<T>) {
+        let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
+        workspace_for::<T>(&mut map).keep_spare(m);
+    }
+
+    /// Make `stats` the context's [`last_stats`](Self::last_stats).
+    fn record(&self, stats: ExecStats) -> ExecStats {
+        *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()) = stats;
+        stats
+    }
+
+    /// The body [`gemm_with_stats`](Self::gemm_with_stats) and
+    /// [`gemm_staged`](Self::gemm_staged) share: resolve the block shape
+    /// and run the executor in `ws`.
+    fn run<T: KernelSelect>(
+        &self,
+        a: &MatrixView<'_, T>,
+        b: &MatrixView<'_, T>,
+        c: &mut Matrix<T::Acc>,
+        ws: &mut GemmWorkspace<T>,
+    ) -> ExecStats {
         let ukr = self.cfg.selected_kernel::<T>();
         let (m, k, n) = (a.rows(), a.cols(), b.cols());
         if m == 0 || k == 0 || n == 0 {
@@ -376,20 +454,19 @@ impl CakeGemm {
             T::BYTES,
             (ukr.mr() * ukr.nr()) as f64,
         );
-        let (av, bv) = (a.view(), b.view());
-        let mut cv = c.view_mut();
-        let mut map = self.workspaces.lock().unwrap_or_else(|p| p.into_inner());
-        let ws = map
-            .entry(TypeId::of::<T>())
-            // audit: cold first-use workspace creation, memoized per dtype
-            .or_insert_with(|| Box::new(GemmWorkspace::<T>::new()) as Box<dyn Any + Send>)
-            .downcast_mut::<GemmWorkspace<T>>()
-            .expect("workspace map is keyed by element TypeId");
-        let stats = execute_with_stats_in(&av, &bv, &mut cv, &shape, &ukr, &self.pool, ws);
-        drop(map);
-        *self.last_stats.lock().unwrap_or_else(|p| p.into_inner()) = stats;
-        stats
+        execute_with_stats_in(a, b, &mut c.view_mut(), &shape, &ukr, &self.pool, ws)
     }
+}
+
+/// This context's workspace for element type `T`, created on first use.
+fn workspace_for<T: KernelSelect>(
+    map: &mut HashMap<TypeId, Box<dyn Any + Send>>,
+) -> &mut GemmWorkspace<T> {
+    map.entry(TypeId::of::<T>())
+        // audit: cold first-use workspace creation, memoized per dtype
+        .or_insert_with(|| Box::new(GemmWorkspace::<T>::new()) as Box<dyn Any + Send>)
+        .downcast_mut::<GemmWorkspace<T>>()
+        .expect("workspace map is keyed by element TypeId")
 }
 
 /// Operand orientation for [`cake_gemm_op`] (BLAS `trans` flags).
@@ -836,5 +913,36 @@ mod tests {
         cake_gemm_scaled(0.0f32, &a, &b, 2.0, &mut c, &cfg);
         let doubled = Matrix::from_fn(m, n, |i, j| 2.0 * c0.get(i, j));
         assert_gemm_eq(&c, &doubled, 1);
+    }
+
+    #[test]
+    fn scratch_matrix_reuses_recycled_buffers_by_extents() {
+        use crate::workspace::MAX_SPARES;
+        use cake_matrix::Layout;
+        let ctx = CakeGemm::new(CakeConfig::with_threads(1));
+        let fresh = ctx.scratch_matrix::<f32>(3, 5);
+        assert!(fresh.as_slice().iter().all(|&v| v == 0.0));
+        let mut m = fresh;
+        m.as_mut_slice().fill(7.0);
+        let ptr = m.as_slice().as_ptr();
+        ctx.recycle(m);
+        // Other extents (even the same length) get a fresh zeroed matrix.
+        let other = ctx.scratch_matrix::<f32>(5, 3);
+        assert!(other.as_slice().iter().all(|&v| v == 0.0));
+        // The same extents get the spare back, dirty.
+        let reused = ctx.scratch_matrix::<f32>(3, 5);
+        assert_eq!(reused.as_slice().as_ptr(), ptr);
+        assert!(reused.as_slice().iter().all(|&v| v == 7.0));
+        // Spares are per element type.
+        ctx.recycle(reused);
+        assert!(ctx.scratch_matrix::<f64>(3, 5).as_slice().iter().all(|&v| v == 0.0));
+        // Column-major matrices are not kept.
+        ctx.recycle(Matrix::<f32>::zeros_with_layout(2, 2, Layout::ColMajor));
+        assert_eq!(ctx.scratch_matrix::<f32>(2, 2).layout(), Layout::RowMajor);
+        // Past the limit the oldest spare goes: (3, 5) was kept first.
+        for i in 0..MAX_SPARES {
+            ctx.recycle(Matrix::<f32>::zeros(1, i + 1));
+        }
+        assert_ne!(ctx.scratch_matrix::<f32>(3, 5).as_slice().as_ptr(), ptr);
     }
 }

@@ -163,7 +163,8 @@ pub struct ExecStats {
     pub barrier_wait_ns: u64,
     /// Largest single-worker barrier wait.
     pub barrier_wait_ns_max: u64,
-    /// Workspace footprint in bytes (packed-A strips + the B panel ring).
+    /// Workspace footprint in bytes (packed-A strips, the B panel ring and
+    /// the `B` staging buffer).
     pub workspace_bytes: usize,
     /// Heap allocations performed by this call (0 once the workspace is
     /// warm).

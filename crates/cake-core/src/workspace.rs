@@ -18,7 +18,7 @@
 //! performs **zero** heap allocations.
 
 use cake_kernels::pack::{packed_a_size, packed_b_size};
-use cake_matrix::Element;
+use cake_matrix::{Element, Layout, Matrix};
 
 use crate::shape::CbBlockShape;
 use crate::shared::SharedBuf;
@@ -28,6 +28,12 @@ use crate::shared::SharedBuf;
 /// costs `kc * nc` elements of LLC-resident footprint, so the ring stays
 /// small.
 pub const MAX_B_PANELS: usize = 4;
+
+/// Most spent matrices a workspace keeps for reuse (see
+/// [`CakeGemm::recycle`](crate::api::CakeGemm::recycle)). A sequential
+/// network keeps about two per distinct layer-output shape; past the limit
+/// the oldest spare is dropped.
+pub const MAX_SPARES: usize = 16;
 
 /// Most row tiles any one worker can own when `total_tiles` tiles are
 /// partitioned by the 2D grid ([`worker_grid`](crate::schedule::worker_grid)
@@ -63,6 +69,14 @@ pub struct GemmWorkspace<T> {
     pub(crate) packed_b: Vec<SharedBuf<T>>,
     /// Per-worker packed-A stride the buffers were last prepared for.
     pub(crate) pa_stride: usize,
+    /// Grow-only buffer for a `B` operand written in place by the caller
+    /// ([`CakeGemm::gemm_staged`](crate::api::CakeGemm::gemm_staged));
+    /// empty until first used, never zeroed on reuse.
+    pub(crate) staging: Vec<T>,
+    /// Spent row-major matrices kept for reuse, oldest first, at most
+    /// [`MAX_SPARES`]. Not GEMM workspace: [`bytes`](Self::bytes) leaves
+    /// them out.
+    spares: Vec<Matrix<T>>,
     /// Heap allocations performed over the workspace's lifetime.
     allocations: usize,
 }
@@ -76,6 +90,8 @@ impl<T: Element> GemmWorkspace<T> {
             packed_a: SharedBuf::empty(),
             packed_b: Vec::new(),
             pa_stride: 0,
+            staging: Vec::new(),
+            spares: Vec::new(),
             allocations: 0,
         }
     }
@@ -120,6 +136,42 @@ impl<T: Element> GemmWorkspace<T> {
         fresh
     }
 
+    /// Take the staging buffer out for one call, grown to at least `len`
+    /// elements, with the allocations that took (0 once warm). The caller
+    /// hands it back by assigning `staging` after the call.
+    pub(crate) fn take_staging(&mut self, len: usize) -> (Vec<T>, usize) {
+        let mut buf = std::mem::take(&mut self.staging);
+        let fresh = usize::from(buf.len() < len);
+        if fresh > 0 {
+            // audit: cold staging growth, first use or a larger B than any before
+            buf.resize(len, T::ZERO);
+        }
+        self.allocations += fresh;
+        (buf, fresh)
+    }
+
+    /// A kept spare of exactly `rows x cols`, if there is one.
+    pub(crate) fn take_spare(&mut self, rows: usize, cols: usize) -> Option<Matrix<T>> {
+        let i = self
+            .spares
+            .iter()
+            .position(|m| m.rows() == rows && m.cols() == cols)?;
+        Some(self.spares.remove(i))
+    }
+
+    /// Keep `m` as a spare, dropping the oldest one when the workspace
+    /// already keeps [`MAX_SPARES`]. Empty and column-major matrices are
+    /// dropped at once.
+    pub(crate) fn keep_spare(&mut self, m: Matrix<T>) {
+        if m.as_slice().is_empty() || m.layout() != Layout::RowMajor {
+            return;
+        }
+        if self.spares.len() == MAX_SPARES {
+            self.spares.remove(0);
+        }
+        self.spares.push(m);
+    }
+
     /// Total heap allocations performed since construction.
     pub fn allocations(&self) -> usize {
         self.allocations
@@ -128,7 +180,7 @@ impl<T: Element> GemmWorkspace<T> {
     /// Current workspace footprint in bytes.
     pub fn bytes(&self) -> usize {
         let panels: usize = self.packed_b.iter().map(|b| b.len()).sum();
-        (self.packed_a.len() + panels) * std::mem::size_of::<T>()
+        (self.packed_a.len() + panels + self.staging.len()) * std::mem::size_of::<T>()
     }
 }
 

@@ -7,9 +7,11 @@
 //! W (C_out x C_in*KH*KW)  x  patches (C_in*KH*KW x OH*OW)  =  Y (C_out x OH*OW)
 //! ```
 //!
-//! which is the per-layer MM the paper's intro refers to. [`im2col`]
-//! builds the patch matrix; [`direct_conv`] is the quadruple-loop
-//! reference the tests verify the GEMM path against.
+//! which is the per-layer MM the paper's intro refers to. [`im2col_into`]
+//! writes the patch matrix into a caller's buffer (the conv layer passes
+//! its GEMM context's reused staging buffer), [`im2col`] into a fresh
+//! matrix; [`direct_conv`] is the quadruple-loop reference the tests
+//! verify the GEMM path against.
 
 use cake_matrix::{Element, Matrix};
 
@@ -53,25 +55,70 @@ impl ConvGeom {
     }
 }
 
-/// Build the `(C_in*KH*KW) x (OH*OW)` patch matrix for `input`.
+/// Build the `(C_in*KH*KW) x (OH*OW)` patch matrix for `input`: a fresh
+/// matrix filled by [`im2col_into`].
 pub fn im2col<T: Element>(input: &Tensor<T>, geom: &ConvGeom) -> Matrix<T> {
+    let (oh, ow) = geom.out_dims(input.height(), input.width());
+    let mut patches = Matrix::zeros(input.channels() * geom.kh * geom.kw, oh * ow);
+    im2col_into(input, geom, patches.as_mut_slice());
+    patches
+}
+
+/// Write the `(C_in*KH*KW) x (OH*OW)` patch matrix for `input`, row-major,
+/// into `dst`. Every element is written, the zero padding included, so a
+/// dirty reused buffer is safe.
+///
+/// Patch row `(c, dy, dx)` holds, for each output row `oy`, one run of
+/// input row `oy*stride + dy - pad`: zeros where the run hangs over the
+/// padding, and the in-bounds part copied with `copy_from_slice` (a
+/// strided gather when `stride > 1`).
+///
+/// # Panics
+/// Panics if `dst.len()` is not the patch matrix's element count.
+pub fn im2col_into<T: Element>(input: &Tensor<T>, geom: &ConvGeom, dst: &mut [T]) {
     let (cin, h, w) = (input.channels(), input.height(), input.width());
     let (oh, ow) = geom.out_dims(h, w);
-    let rows = cin * geom.kh * geom.kw;
-    Matrix::from_fn(rows, oh * ow, |r, col| {
-        let c = r / (geom.kh * geom.kw);
-        let dy = (r / geom.kw) % geom.kh;
-        let dx = r % geom.kw;
-        let oy = col / ow;
-        let ox = col % ow;
-        let iy = (oy * geom.stride + dy) as isize - geom.pad as isize;
-        let ix = (ox * geom.stride + dx) as isize - geom.pad as isize;
-        if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
-            T::ZERO
-        } else {
-            input.get(c, iy as usize, ix as usize)
+    let (s, pad) = (geom.stride, geom.pad);
+    assert_eq!(
+        dst.len(),
+        cin * geom.kh * geom.kw * oh * ow,
+        "im2col destination must hold C_in*KH*KW x OH*OW elements"
+    );
+    let src = input.as_matrix().as_slice();
+    let mut rows = dst.chunks_exact_mut(oh * ow);
+    for c in 0..cin {
+        let plane = &src[c * h * w..(c + 1) * h * w];
+        for dy in 0..geom.kh {
+            for dx in 0..geom.kw {
+                let row = rows.next().expect("one patch row per (c, dy, dx)");
+                // Output columns whose input column `ox*s + dx - pad` lies
+                // in `0..w`: `lo..hi`, clamped to `0..ow`.
+                let lo = pad.saturating_sub(dx).div_ceil(s).min(ow);
+                let hi = (w + pad).saturating_sub(dx).div_ceil(s).clamp(lo, ow);
+                for (oy, out) in row.chunks_exact_mut(ow).enumerate() {
+                    let iy = (oy * s + dy).wrapping_sub(pad);
+                    if iy >= h {
+                        out.fill(T::ZERO);
+                        continue;
+                    }
+                    out[..lo].fill(T::ZERO);
+                    out[hi..].fill(T::ZERO);
+                    if lo < hi {
+                        let line = &plane[iy * w..(iy + 1) * w];
+                        let ix0 = lo * s + dx - pad;
+                        if s == 1 {
+                            out[lo..hi].copy_from_slice(&line[ix0..ix0 + (hi - lo)]);
+                        } else {
+                            let taps = line[ix0..].iter().step_by(s);
+                            for (o, &v) in out[lo..hi].iter_mut().zip(taps) {
+                                *o = v;
+                            }
+                        }
+                    }
+                }
+            }
         }
-    })
+    }
 }
 
 /// Direct (quadruple-loop) convolution reference:
@@ -133,6 +180,88 @@ mod tests {
             &cake_core::api::CakeConfig::with_threads(1),
         );
         Tensor::from_matrix(y, oh, ow)
+    }
+
+    /// The per-element formula `im2col` used to be: every patch element
+    /// computed from its `(row, col)` index. The oracle for the row-copy
+    /// lowering, compared with `==`.
+    fn im2col_by_element(input: &Tensor<f32>, geom: &ConvGeom) -> Matrix<f32> {
+        let (h, w) = (input.height(), input.width());
+        let (oh, ow) = geom.out_dims(h, w);
+        let rows = input.channels() * geom.kh * geom.kw;
+        Matrix::from_fn(rows, oh * ow, |r, col| {
+            let c = r / (geom.kh * geom.kw);
+            let dy = (r / geom.kw) % geom.kh;
+            let dx = r % geom.kw;
+            let oy = col / ow;
+            let ox = col % ow;
+            let iy = (oy * geom.stride + dy) as isize - geom.pad as isize;
+            let ix = (ox * geom.stride + dx) as isize - geom.pad as isize;
+            if iy < 0 || ix < 0 || iy as usize >= h || ix as usize >= w {
+                0.0
+            } else {
+                input.get(c, iy as usize, ix as usize)
+            }
+        })
+    }
+
+    #[test]
+    fn row_copy_im2col_equals_per_element_formula() {
+        // Distinct non-zero values, so a misplaced copy or a missing zero
+        // cannot match by accident.
+        let mut cases = 0;
+        for (h, w) in [(7, 5), (4, 9), (6, 6), (1, 8)] {
+            let input =
+                Tensor::<f32>::from_fn(2, h, w, |c, y, x| (100 * c + 10 * y + x) as f32 + 0.5);
+            for k in [1usize, 3, 5] {
+                for stride in 1..=3 {
+                    for pad in 0..=k {
+                        let geom = ConvGeom::square(k, stride, pad);
+                        if h + 2 * pad < k || w + 2 * pad < k {
+                            continue;
+                        }
+                        let want = im2col_by_element(&input, &geom);
+                        let got = im2col(&input, &geom);
+                        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                        assert!(
+                            got.as_slice() == want.as_slice(),
+                            "{h}x{w} input, k={k} stride={stride} pad={pad}"
+                        );
+                        // A reused buffer full of NaN: every element,
+                        // the padding included, is rewritten.
+                        let mut dirty = vec![f32::NAN; want.as_slice().len()];
+                        im2col_into(&input, &geom, &mut dirty);
+                        assert!(
+                            dirty.as_slice() == want.as_slice(),
+                            "dirty buffer: {h}x{w} input, k={k} stride={stride} pad={pad}"
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert!(cases > 100, "only {cases} geometries exercised");
+    }
+
+    #[test]
+    fn non_square_kernel_matches_per_element_formula() {
+        let input =
+            Tensor::<f32>::from_fn(3, 6, 11, |c, y, x| (c * 66 + y * 11 + x) as f32 - 40.0);
+        for (kh, kw, stride, pad) in [(1, 3, 1, 1), (3, 1, 2, 0), (2, 5, 3, 2)] {
+            let geom = ConvGeom { kh, kw, stride, pad };
+            let want = im2col_by_element(&input, &geom);
+            let mut dirty = vec![f32::NAN; want.as_slice().len()];
+            im2col_into(&input, &geom, &mut dirty);
+            assert!(dirty.as_slice() == want.as_slice(), "{kh}x{kw} stride={stride} pad={pad}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "im2col destination")]
+    fn im2col_into_rejects_wrong_length() {
+        let input = Tensor::<f32>::zeros(1, 4, 4);
+        let mut dst = vec![0.0f32; 15];
+        im2col_into(&input, &ConvGeom::same(3), &mut dst);
     }
 
     #[test]

@@ -83,15 +83,21 @@ impl Sequential {
     }
 
     /// Run the forward pass, returning the output and per-layer reports.
+    ///
+    /// Each layer's output goes back to the context
+    /// ([`CakeGemm::recycle`]) once the next layer has read it, and the
+    /// built-in layers take their outputs from there, so after the first
+    /// pass the activations reuse the same buffers every pass.
     pub fn forward(&self, input: &Tensor) -> (Tensor, Vec<LayerReport>) {
-        let mut x = input.clone();
+        let mut out: Option<Tensor> = None;
         let mut reports = Vec::with_capacity(self.layers.len());
         for layer in &self.layers {
+            let x = out.as_ref().unwrap_or(input);
             let (c, h, w) = (x.channels(), x.height(), x.width());
             let flops = layer.flops(c, h, w);
             let _ = self.ctx.take_stats(); // attribute GEMMs to this layer
             let t0 = Instant::now();
-            let y = layer.forward(&self.ctx, &x);
+            let y = layer.forward(&self.ctx, x);
             reports.push(LayerReport {
                 name: layer.name().to_string(),
                 out_shape: (y.channels(), y.height(), y.width()),
@@ -99,9 +105,11 @@ impl Sequential {
                 seconds: t0.elapsed().as_secs_f64(),
                 gemm: self.ctx.take_stats(),
             });
-            x = y;
+            if let Some(spent) = out.replace(y) {
+                self.ctx.recycle(spent.into_matrix());
+            }
         }
-        (x, reports)
+        (out.unwrap_or_else(|| input.clone()), reports)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Backed by a `channels x (h*w)` row-major matrix — exactly the layout
 //! im2col and the GEMM layers consume, so no reshapes ever copy data.
 
-use cake_matrix::{Element, Matrix};
+use cake_matrix::{Element, Layout, Matrix};
 
 /// A 3D feature map stored as `channels x (h * w)`.
 pub struct Tensor<T = f32> {
@@ -28,13 +28,19 @@ impl<T: Element> Tensor<T> {
         Self { data, h, w }
     }
 
-    /// Wrap an existing `c x (h*w)` matrix.
+    /// Wrap an existing `c x (h*w)` matrix; a column-major one is copied to
+    /// row-major, the layout the layers read as flat slices.
     ///
     /// # Panics
     /// Panics if `matrix.cols() != h * w`.
     pub fn from_matrix(matrix: Matrix<T>, h: usize, w: usize) -> Self {
         assert_eq!(matrix.cols(), h * w, "matrix cols must equal h*w");
-        Self { data: matrix, h, w }
+        let data = match matrix.layout() {
+            Layout::RowMajor => matrix,
+            // audit: cold column-major input; the GEMM layers pass row-major C
+            Layout::ColMajor => matrix.to_layout(Layout::RowMajor),
+        };
+        Self { data, h, w }
     }
 
     /// Channels.
@@ -137,6 +143,15 @@ mod tests {
         let m = t.clone().into_matrix();
         let back = Tensor::from_matrix(m, 2, 2);
         assert_eq!(back.get(2, 1, 1), 4.0);
+    }
+
+    #[test]
+    fn column_major_matrix_is_stored_row_major() {
+        let rows = Tensor::<f32>::from_fn(2, 2, 3, |c, y, x| (c * 6 + y * 3 + x) as f32);
+        let cols = rows.as_matrix().to_layout(Layout::ColMajor);
+        let t = Tensor::from_matrix(cols, 2, 3);
+        assert_eq!(t.as_matrix().layout(), Layout::RowMajor);
+        assert_eq!(t.as_matrix().as_slice(), rows.as_matrix().as_slice());
     }
 
     #[test]

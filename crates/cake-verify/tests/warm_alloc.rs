@@ -17,32 +17,58 @@
 //! tally is per thread: it counts the calling thread's allocations only,
 //! so tests running in parallel on sibling threads never leak into each
 //! other's deltas.
+//!
+//! The allocator also records each thread's largest single allocation,
+//! which bounds a warm DNN forward pass: it allocates no feature map at
+//! all — the conv layers write their im2col patches into the context's
+//! staging buffer, and every conv, ReLU and pool output reuses a buffer
+//! the previous pass recycled — only small bookkeeping (the per-layer
+//! reports, the logits).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cake_core::api::CakeConfig;
 use cake_core::executor::execute_with_stats_in;
 use cake_core::pool::ThreadPool;
 use cake_core::shape::CbBlockShape;
 use cake_core::workspace::GemmWorkspace;
 use cake_kernels::select::{portable_kernel, KernelSelect};
+use cake_dnn::im2col::ConvGeom;
+use cake_dnn::{Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU, Sequential, Tensor};
 use cake_matrix::{init, Bf16, Matrix};
 
 /// Counts every allocation path (`alloc`, `alloc_zeroed`, `realloc`)
-/// through the global allocator, per thread; frees are not counted — the
-/// property under test is "no fresh allocation", not "no traffic".
+/// through the global allocator, per thread, and records the thread's
+/// largest single request; frees are not counted — the property under
+/// test is "no fresh allocation", not "no traffic".
 struct CountingAlloc;
 
 thread_local! {
     /// This thread's allocation count. Const-initialised with a drop-free
     /// type, so reading it never allocates or registers a destructor.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// This thread's largest single allocation in bytes since the last
+    /// [`reset_largest`].
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-/// Bump the calling thread's tally. `try_with` keeps the allocator from
-/// panicking if a thread allocates while its TLS is being torn down.
-fn count() {
+/// Bump the calling thread's tally for a `bytes`-byte request. `try_with`
+/// keeps the allocator from panicking if a thread allocates while its TLS
+/// is being torn down.
+fn count(bytes: usize) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(bytes)));
+}
+
+/// Start a fresh largest-allocation record on the calling thread.
+fn reset_largest() {
+    LARGEST.with(|m| m.set(0));
+}
+
+/// The calling thread's largest single allocation since [`reset_largest`].
+fn largest() -> usize {
+    LARGEST.with(Cell::get)
 }
 
 /// Allocations made so far by the calling thread.
@@ -54,19 +80,19 @@ fn allocs() -> u64 {
 // the `GlobalAlloc` contract; the counter is a side effect only.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: forwarded unchanged to the system allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -144,6 +170,49 @@ fn warm_path_performs_zero_allocations_bf16() {
     assert_eq!(delta, 0, "bf16 steady-state GEMM allocated {delta} time(s)");
 }
 
+/// A warm p = 1 forward pass of the `examples/dnn_inference.rs` network
+/// allocates nothing as large as its smallest feature map: no im2col
+/// patch matrix (the conv layers fill the context's staging buffer) and
+/// no layer output (each comes back from the previous pass through
+/// `CakeGemm::recycle`).
+#[test]
+fn warm_dnn_forward_allocates_no_feature_map() {
+    let net = Sequential::new(CakeConfig::with_threads(1))
+        .push(Conv2d::random("conv1a", 3, 32, ConvGeom::same(3), 1))
+        .push(ReLU)
+        .push(Conv2d::random("conv1b", 32, 32, ConvGeom::same(3), 2))
+        .push(ReLU)
+        .push(MaxPool2d)
+        .push(Conv2d::random("conv2a", 32, 64, ConvGeom::same(3), 3))
+        .push(ReLU)
+        .push(Conv2d::random("conv2b", 64, 64, ConvGeom::same(3), 4))
+        .push(ReLU)
+        .push(MaxPool2d)
+        .push(Conv2d::random("conv3", 64, 128, ConvGeom::same(3), 5))
+        .push(ReLU)
+        .push(GlobalAvgPool)
+        .push(Linear::random("fc", 128, 10, 6));
+    let input = Tensor::from_matrix(init::random::<f32>(3, 32 * 32, 42), 32, 32);
+    let smallest_map = net
+        .shapes(3, 32, 32)
+        .iter()
+        .filter(|&&(_, h, w)| h * w > 1)
+        .map(|&(c, h, w)| c * h * w * std::mem::size_of::<f32>())
+        .min()
+        .expect("the network has feature maps");
+
+    let (cold, _) = net.forward(&input);
+    reset_largest();
+    let (warm, _) = net.forward(&input);
+    let peak = largest();
+    assert_eq!(cold.as_matrix().as_slice(), warm.as_matrix().as_slice());
+    assert!(peak > 0, "the warm pass allocates its reports");
+    assert!(
+        peak < smallest_map,
+        "warm forward pass allocated {peak} B at once; smallest feature map is {smallest_map} B"
+    );
+}
+
 /// The counter itself must observe ordinary allocations — otherwise the
 /// four zero-assertions above would pass vacuously.
 #[test]
@@ -153,4 +222,8 @@ fn counting_allocator_observes_allocations() {
     let after = allocs();
     drop(v);
     assert!(after > before, "Vec::with_capacity(64) must hit the global allocator");
+    reset_largest();
+    let v: Vec<u64> = Vec::with_capacity(100);
+    drop(v);
+    assert_eq!(largest(), 800, "the largest-allocation record sees the request size");
 }
