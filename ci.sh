@@ -2,8 +2,10 @@
 # CI gate for the cake-rs workspace.
 #
 #   ./ci.sh                full gate: tier-1, all tests, benchmark tests, clippy,
-#                          audit, verify, smokes, bench snapshot
-#   ./ci.sh --fast         tier-1, all tests, benchmark tests, clippy (skip audit,
+#                          rustdoc, cake-sim without default features, audit,
+#                          verify, smokes, bench snapshot
+#   ./ci.sh --fast         tier-1, all tests, benchmark tests, clippy, rustdoc
+#                          (skip cake-sim without default features, audit,
 #                          verify, smokes, bench snapshot)
 #   ./ci.sh --verify       verification suite only (cakectl verify, 256 fuzz cases)
 #   ./ci.sh --scale-smoke  one p=4 GEMM sweep asserting pack counters match p=1
@@ -34,8 +36,13 @@
 # breaks the repository benchmark fails the fast gate as well as the full
 # one.
 #
+# The rustdoc step denies warnings, so a doc link into a deleted or private
+# item fails the fast gate. The full gate also tests cake-sim with
+# --no-default-features: the `closed-form` timing engine is an optional
+# oracle, and nothing else in the crate may depend on it.
+#
 # The bench snapshot rewrites BENCH_gemm.json in the repo root so the
-# pipelined executor's throughput, allocation-freedom, and pack-overlap
+# pipelined executor's throughput, allocation-freedom, and pack-fraction
 # numbers are tracked over time.
 #
 # The verify stage runs the cake-verify harness: 256-case differential
@@ -235,7 +242,13 @@ cargo test --release --manifest-path perfbench/Cargo.toml
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 if [[ "${1:-}" != "--fast" ]]; then
+    echo "==> cake-sim without default features (no closed-form engine)"
+    cargo test -p cake-sim --no-default-features -q
+
     run_audit
     run_verify
     run_scale_smoke

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 
 use cake_core::executor::worker_rows;
-use cake_core::schedule::{worker_grid, BlockGrid, KFirstSchedule, OuterLoop};
+use cake_core::schedule::{worker_grid, BlockGrid, KFirstSchedule};
 use cake_core::workspace::worker_tile_bound;
 use cake_kernels::pack::{
     a_sliver_offset, b_sliver_offset, packed_a_size, packed_b_size, split_range,
@@ -929,8 +929,10 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
     }
 
     // L5: exhaustive small-extent executor replay. Walk the real K-first
-    // schedule over real block grids and check, for every block and worker,
-    // that the packed-A strip demand and the B-panel sliver demand fit the
+    // schedule, built by the executor's own constructor
+    // (`KFirstSchedule::new`, so the orientation agrees on `m == n` ties),
+    // over real block grids and check, for every block and worker, that the
+    // packed-A strip demand and the B-panel sliver demand fit the
     // workspace's pa_stride / pb_len (the exact formulas from
     // GemmWorkspace::prepare).
     {
@@ -953,10 +955,7 @@ pub fn lemmas() -> (Vec<String>, Vec<String>) {
                                                 worker_tile_bound(bm.div_ceil(mr), p);
                                             let pa_stride = packed_a_size(max_tiles * mr, kc, mr);
                                             let pb_len = packed_b_size(kc, nc, nr);
-                                            let sched = KFirstSchedule::with_outer(
-                                                grid,
-                                                if m >= n { OuterLoop::MOuter } else { OuterLoop::NOuter },
-                                            );
+                                            let sched = KFirstSchedule::new(grid, m, n);
                                             for cd in sched {
                                                 let ml = bm.min(m - cd.m * bm);
                                                 let kl = kc.min(k - cd.k * kc);

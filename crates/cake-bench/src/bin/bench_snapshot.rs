@@ -4,7 +4,7 @@
 //! Runs CAKE (pipelined executor), the GOTO baseline, and the naive
 //! reference at a few fixed GEMM shapes plus a small CNN forward pass, and
 //! records GFLOP/s, post-warmup allocation counts, the dispatched kernel
-//! tier per entry, and the pipeline's measured pack-overlap numbers. A
+//! tier per entry, and the pipeline's measured pack fraction. A
 //! `kernel_tiers` section benchmarks every kernel tier the host supports
 //! (one single-threaded GEMM per tier per shape on a fixed block grid; the
 //! run aborts if the traffic counters differ across tiers — they count
@@ -37,7 +37,6 @@ use cake_bench::scaling::{
 };
 use cake_core::api::{CakeConfig, CakeGemm};
 use cake_core::topology;
-use cake_core::tune::overlap_efficiency;
 use cake_dnn::im2col::ConvGeom;
 use cake_dnn::layers::{Conv2d, GlobalAvgPool, Linear, MaxPool2d, ReLU};
 use cake_dnn::network::Sequential;
@@ -102,7 +101,6 @@ struct ShapeResult {
     naive_gflops: f64,
     allocs_after_warmup: usize,
     pack_fraction: f64,
-    overlap_efficiency: f64,
     blocks: usize,
     barriers: usize,
     kernel: &'static str,
@@ -143,7 +141,6 @@ fn bench_shape(ctx: &CakeGemm, p: usize, m: usize, k: usize, n: usize, iters: us
         naive_gflops: gflops(m, k, n, naive_s),
         allocs_after_warmup: warm_allocs,
         pack_fraction: stats.pack_fraction(),
-        overlap_efficiency: overlap_efficiency(stats.pack_ns, stats.compute_ns),
         blocks: stats.blocks,
         barriers: stats.barriers,
         kernel: stats.kernel,
@@ -308,7 +305,7 @@ fn main() {
             "    {{\"m\": {}, \"k\": {}, \"n\": {}, \"kernel\": \"{}\", \"cake_gflops\": {}, \
              \"goto_gflops\": {}, \
              \"naive_gflops\": {}, \"allocs_after_warmup\": {}, \"pack_fraction\": {}, \
-             \"overlap_efficiency\": {}, \"blocks\": {}, \"barriers\": {}}}{}\n",
+             \"blocks\": {}, \"barriers\": {}}}{}\n",
             r.m,
             r.k,
             r.n,
@@ -318,7 +315,6 @@ fn main() {
             f3(r.naive_gflops),
             r.allocs_after_warmup,
             f3(r.pack_fraction),
-            f3(r.overlap_efficiency),
             r.blocks,
             r.barriers,
             if i + 1 == results.len() { "" } else { "," }

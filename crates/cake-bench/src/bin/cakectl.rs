@@ -344,10 +344,6 @@ fn print_exec_stats(s: &ExecStats) {
         "  compute imbalance: {:>10.3}  (max * workers / sum; 1.0 = even)",
         s.compute_imbalance()
     );
-    println!(
-        "  overlap efficiency: {:>10.3}  (1.0 = packing fully hidden)",
-        cake_core::tune::overlap_efficiency(s.pack_ns, s.compute_ns)
-    );
     println!("  workspace        : {:>9.1} KiB", s.workspace_bytes as f64 / 1024.0);
     println!("  allocations      : {:>12}  (this call)", s.allocations);
     // Element counters are live only with cake-core's `traffic-counters`

@@ -20,7 +20,7 @@
 //!     demonstrate a multicore win and the snapshot says so rather than
 //!     passing vacuously.
 //! - `gemm` — per-shape rows: CAKE vs GOTO vs naive GFLOP/s, post-warmup
-//!   allocations, pack fraction, overlap efficiency, block/barrier counts.
+//!   allocations, pack fraction, block/barrier counts.
 //!   Each row also records `kernel`: the microkernel name the dispatcher
 //!   selected for that run (e.g. `"avx512_f32_14x32"`), so a snapshot is
 //!   attributable to a tier even when regenerated on a different host.

@@ -210,8 +210,6 @@ impl CakeConfig {
 
 /// Shrink an analytically derived shape so a small problem still spreads
 /// across all `p` workers and blocks never exceed the matrix extents.
-/// Outer (LLC-level) tile extents pass through untouched — they count
-/// blocks, not elements, and the two-level schedule clamps them itself.
 fn clamp_shape_to_problem(
     shape: CbBlockShape,
     m: usize,
@@ -231,7 +229,7 @@ fn clamp_shape_to_problem(
         .nc
         .min(n.div_ceil(nr).max(1) * nr)
         .max(nr);
-    CbBlockShape::fixed(p, mc, kc, nc).with_outer_tiles(shape.ko_blocks, shape.no_blocks)
+    CbBlockShape::fixed(p, mc, kc, nc)
 }
 
 /// Generic `C += A * B` with automatic CB-block configuration.

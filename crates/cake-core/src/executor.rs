@@ -90,7 +90,7 @@ use cake_matrix::{Dtype, MatrixView, MatrixViewMut};
 use crate::counters::Tally;
 use crate::panel::{ring_depth, PanelAction, PanelCache};
 use crate::pool::ThreadPool;
-use crate::schedule::{worker_grid, BlockGrid, TwoLevelSchedule};
+use crate::schedule::{worker_grid, BlockGrid, KFirstSchedule};
 use crate::shape::CbBlockShape;
 use crate::shared::OutPtr;
 use crate::sync::{BarrierMode, SpinBarrier};
@@ -338,9 +338,7 @@ pub fn execute_with_stats_in<T: Dtype>(
     let (bm, bk, bn) = (shape.m_block(), shape.k_block(), shape.n_block());
 
     let grid = BlockGrid::for_problem(m, k, n, bm, bk, bn);
-    // Two-level (LLC-tiled) order when the shape carries outer extents;
-    // with both zero this is bit-exactly the one-level K-first snake.
-    let schedule = TwoLevelSchedule::new(grid, m, n, shape.ko_blocks, shape.no_blocks);
+    let schedule = KFirstSchedule::new(grid, m, n);
     let nblocks = schedule.len();
 
     // B panel ring: two panels are the pipelining floor; a ring as deep as

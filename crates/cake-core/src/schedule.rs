@@ -211,149 +211,6 @@ impl Iterator for KFirstSchedule {
 
 impl ExactSizeIterator for KFirstSchedule {}
 
-/// The two-level (MOMMS-style) CB schedule: constant-bandwidth blocking
-/// applied at the LLC level *above* the L2-level block grid.
-///
-/// The K/N face of the block grid is cut into outer tiles of `ko x no`
-/// L2-level blocks. Outer tiles are visited with N outermost and the K
-/// tile loop boustrophedon on N-tile parity (the outer-level snake);
-/// within each tile the ordinary one-level K-first snake runs over the
-/// tile's blocks, spanning all `mb` block rows. Each tile's `ko` partial
-/// K-products complete before the schedule moves on, so the live partial-C
-/// working set at the LLC level is bounded by one tile's C surface — the
-/// same constant-bandwidth argument one cache level up.
-///
-/// With a single outer tile (extents `>= kb`/`nb`, or 0 meaning
-/// "disabled") the schedule degenerates **bit-exactly** to
-/// [`KFirstSchedule::new`]'s order, so every one-level invariant carries
-/// over unchanged.
-///
-/// `Copy` for the same reason as [`KFirstSchedule`]: executor workers
-/// replay a private copy with pure arithmetic — no heap, no sharing.
-#[derive(Debug, Clone, Copy)]
-pub struct TwoLevelSchedule {
-    grid: BlockGrid,
-    outer: OuterLoop,
-    /// Outer tile extent along K, in blocks (clamped to `[1, kb]`).
-    ko: usize,
-    /// Outer tile extent along N, in blocks (clamped to `[1, nb]`).
-    no: usize,
-    pos: usize,
-}
-
-impl TwoLevelSchedule {
-    /// Two-level schedule over `grid` with outer K/N tile extents in
-    /// blocks. `0` in either extent means "whole dimension" (that level of
-    /// tiling disabled); both `0` is exactly the one-level schedule. The
-    /// inner snake's loop orientation follows the problem shape as in
-    /// [`KFirstSchedule::new`].
-    pub fn new(grid: BlockGrid, m: usize, n: usize, ko_blocks: usize, no_blocks: usize) -> Self {
-        let outer = if n >= m { OuterLoop::NOuter } else { OuterLoop::MOuter };
-        let cap = |want: usize, ext: usize| -> usize {
-            let ext = ext.max(1);
-            if want == 0 {
-                ext
-            } else {
-                want.min(ext)
-            }
-        };
-        Self {
-            grid,
-            outer,
-            ko: cap(ko_blocks, grid.kb),
-            no: cap(no_blocks, grid.nb),
-            pos: 0,
-        }
-    }
-
-    /// The degenerate single-tile schedule — identical order to
-    /// [`KFirstSchedule::new`].
-    pub fn one_level(grid: BlockGrid, m: usize, n: usize) -> Self {
-        Self::new(grid, m, n, 0, 0)
-    }
-
-    /// The underlying grid.
-    pub fn grid(&self) -> BlockGrid {
-        self.grid
-    }
-
-    /// Total number of blocks in the schedule.
-    pub fn len(&self) -> usize {
-        self.grid.len()
-    }
-
-    /// `true` when the schedule contains no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.grid.is_empty()
-    }
-
-    /// Outer tile counts `(k_tiles, n_tiles)`.
-    pub fn outer_tiles(&self) -> (usize, usize) {
-        (self.grid.kb.div_ceil(self.ko), self.grid.nb.div_ceil(self.no))
-    }
-
-    /// `true` when more than one outer tile exists (the outer level is
-    /// live rather than degenerate).
-    pub fn is_two_level(&self) -> bool {
-        let (kt, nt) = self.outer_tiles();
-        kt * nt > 1
-    }
-
-    /// Block at linear position `idx` (0-based) in execution order.
-    ///
-    /// Out-of-range `idx` (never produced by the executor, which guards
-    /// with `bi < len`) clamps to the last grid corner rather than
-    /// panicking — this sits on the executor's warm path.
-    pub fn coord_at(&self, idx: usize) -> BlockCoord {
-        let (kt, nt) = self.outer_tiles();
-        let mut rem = idx;
-        for tn in 0..nt {
-            for tk_step in 0..kt {
-                // Outer-level boustrophedon: the K tile loop reverses on
-                // every N tile advance, so consecutive tiles stay adjacent
-                // on the K/N face.
-                let tk = if tn.is_multiple_of(2) { tk_step } else { kt - 1 - tk_step };
-                let k0 = tk * self.ko;
-                let n0 = tn * self.no;
-                let kl = self.ko.min(self.grid.kb - k0);
-                let nl = self.no.min(self.grid.nb - n0);
-                let cnt = self.grid.mb * kl * nl;
-                if rem < cnt {
-                    let sub = BlockGrid { mb: self.grid.mb, kb: kl, nb: nl };
-                    let c = KFirstSchedule::with_outer(sub, self.outer).coord_at(rem);
-                    return BlockCoord { m: c.m, k: k0 + c.k, n: n0 + c.n };
-                }
-                rem -= cnt;
-            }
-        }
-        BlockCoord {
-            m: self.grid.mb.saturating_sub(1),
-            k: self.grid.kb.saturating_sub(1),
-            n: self.grid.nb.saturating_sub(1),
-        }
-    }
-}
-
-impl Iterator for TwoLevelSchedule {
-    type Item = BlockCoord;
-
-    fn next(&mut self) -> Option<BlockCoord> {
-        if self.pos >= self.grid.len() {
-            return None;
-        }
-        let c = self.coord_at(self.pos);
-        self.pos += 1;
-        Some(c)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let rem = self.grid.len() - self.pos;
-        (rem, Some(rem))
-    }
-}
-
-impl ExactSizeIterator for TwoLevelSchedule {}
-
 /// The surfaces two consecutively executed blocks share.
 ///
 /// Blocks share A when they agree in `(m, k)`, B when they agree in
@@ -434,126 +291,6 @@ mod worker_grid_tests {
             // Maximality: no larger divisor of p fits under the tile count.
             for d in (pm + 1)..=m_tiles.max(1).min(p) {
                 prop_assert!(!p.is_multiple_of(d), "pm = {} not maximal, {} fits", pm, d);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod two_level_tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashSet;
-
-    fn grid(mb: usize, kb: usize, nb: usize) -> BlockGrid {
-        BlockGrid { mb, kb, nb }
-    }
-
-    /// The outer tile a coord falls into, for contiguity checks.
-    fn tile_of(s: &TwoLevelSchedule, c: BlockCoord, ko: usize, no: usize) -> (usize, usize) {
-        let _ = s;
-        (c.k / ko, c.n / no)
-    }
-
-    #[test]
-    fn degenerates_exactly_to_one_level_order() {
-        for (mb, kb, nb, m, n) in
-            [(3, 4, 5, 10, 20), (2, 3, 2, 30, 10), (1, 1, 1, 4, 4), (4, 1, 6, 7, 7)]
-        {
-            let g = grid(mb, kb, nb);
-            let one: Vec<_> = KFirstSchedule::new(g, m, n).collect();
-            for (ko, no) in [(0, 0), (kb, nb), (kb + 3, nb + 1), (0, nb)] {
-                let two: Vec<_> = TwoLevelSchedule::new(g, m, n, ko, no).collect();
-                assert_eq!(one, two, "ko={ko} no={no} must degenerate");
-                assert!(!TwoLevelSchedule::new(g, m, n, ko, no).is_two_level());
-            }
-        }
-    }
-
-    #[test]
-    fn visits_every_block_exactly_once() {
-        let g = grid(3, 5, 7);
-        let s = TwoLevelSchedule::new(g, 10, 20, 2, 3);
-        assert!(s.is_two_level());
-        let seen: HashSet<BlockCoord> = s.collect();
-        assert_eq!(seen.len(), g.len());
-        for m in 0..3 {
-            for k in 0..5 {
-                for n in 0..7 {
-                    assert!(seen.contains(&BlockCoord { m, k, n }));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn outer_tiles_are_contiguous_runs() {
-        // Once the schedule leaves an outer tile it never returns: the
-        // LLC-level working set is one tile at a time.
-        let g = grid(2, 6, 8);
-        let (ko, no) = (2, 3);
-        let s = TwoLevelSchedule::new(g, 16, 16, ko, no);
-        let mut finished: HashSet<(usize, usize)> = HashSet::new();
-        let mut cur: Option<(usize, usize)> = None;
-        for c in s {
-            let t = tile_of(&s, c, ko, no);
-            if cur != Some(t) {
-                if let Some(prev) = cur {
-                    assert!(finished.insert(prev), "tile {prev:?} revisited");
-                }
-                assert!(!finished.contains(&t), "tile {t:?} re-entered");
-                cur = Some(t);
-            }
-        }
-    }
-
-    #[test]
-    fn coord_at_matches_iteration_and_is_total() {
-        let g = grid(3, 4, 5);
-        let s = TwoLevelSchedule::new(g, 9, 9, 3, 2);
-        for (i, c) in s.enumerate() {
-            assert_eq!(s.coord_at(i), c);
-        }
-        // Out-of-range clamps to the last corner instead of panicking
-        // (warm-path totality).
-        let far = s.coord_at(usize::MAX);
-        assert_eq!(far, BlockCoord { m: 2, k: 3, n: 4 });
-    }
-
-    #[test]
-    fn empty_grid_is_empty() {
-        let s = TwoLevelSchedule::new(grid(0, 4, 4), 0, 16, 2, 2);
-        assert!(s.is_empty());
-        assert_eq!(s.count(), 0);
-    }
-
-    proptest! {
-        #[test]
-        fn permutation_and_tile_contiguity(
-            mb in 1usize..5,
-            kb in 1usize..7,
-            nb in 1usize..7,
-            ko in 1usize..8,
-            no in 1usize..8,
-            m_ge_n in 0usize..2,
-        ) {
-            let g = grid(mb, kb, nb);
-            let (m, n) = if m_ge_n == 1 { (20, 10) } else { (10, 20) };
-            let s = TwoLevelSchedule::new(g, m, n, ko, no);
-            let coords: Vec<_> = s.collect();
-            prop_assert_eq!(coords.len(), g.len());
-            let uniq: HashSet<_> = coords.iter().copied().collect();
-            prop_assert_eq!(uniq.len(), g.len(), "schedule must be a permutation");
-            // Tile contiguity.
-            let (cko, cno) = (ko.min(kb), no.min(nb));
-            let mut seen_tiles: HashSet<(usize, usize)> = HashSet::new();
-            let mut cur = None;
-            for c in &coords {
-                let t = (c.k / cko, c.n / cno);
-                if cur != Some(t) {
-                    prop_assert!(seen_tiles.insert(t), "tile {:?} interleaved", t);
-                    cur = Some(t);
-                }
             }
         }
     }

@@ -17,13 +17,6 @@
 //! Sizing follows the LRU rule of Section 4.3: the three surfaces must fit
 //! the LLC with headroom for the *next* block's inputs,
 //! `C + 2(A + B) <= S`.
-//!
-//! A shape may additionally carry an *outer* (LLC-level) tiling — the
-//! MOMMS observation that constant-bandwidth blocking applies at every
-//! cache level: the K/N block grid is cut into outer tiles of
-//! `ko_blocks x no_blocks` L2-level blocks and the schedule finishes one
-//! outer tile before moving to the next. `0` in either extent disables the
-//! outer level, which degenerates to the one-level K-first snake exactly.
 
 /// Shape of one constant-bandwidth block on a CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,11 +32,14 @@ pub struct CbBlockShape {
     pub nc: usize,
     /// Numerator of the bandwidth factor: `nc ~= alpha * p * mc`.
     pub alpha_x1000: u32,
-    /// Outer (LLC-level) tile depth along K, in L2-level blocks; 0
-    /// disables the outer level (one-level schedule).
+    /// Always 0: written only by the constructors, read by nothing in the
+    /// library. Kept, with [`no_blocks`](Self::no_blocks), because the
+    /// repository benchmark's `model_loads` (`perfbench/src/gemm.rs`)
+    /// passes both to
+    /// [`two_level_traffic_with_panel_ring`](crate::traffic::two_level_traffic_with_panel_ring);
+    /// both go at the next benchmark revision.
     pub ko_blocks: usize,
-    /// Outer (LLC-level) tile width along N, in L2-level blocks; 0
-    /// disables the outer level (one-level schedule).
+    /// Always 0; see [`ko_blocks`](Self::ko_blocks).
     pub no_blocks: usize,
 }
 
@@ -153,22 +149,6 @@ impl CbBlockShape {
         }
     }
 
-    /// The same shape with an outer (LLC-level) K/N tiling of
-    /// `ko_blocks x no_blocks` L2-level blocks per tile. `0` in either
-    /// extent disables the outer level.
-    pub fn with_outer_tiles(mut self, ko_blocks: usize, no_blocks: usize) -> Self {
-        self.ko_blocks = ko_blocks;
-        self.no_blocks = no_blocks;
-        self
-    }
-
-    /// Whether this shape requests the two-level (outer K/N tiled)
-    /// schedule.
-    #[inline]
-    pub fn has_outer_level(&self) -> bool {
-        self.ko_blocks > 0 || self.no_blocks > 0
-    }
-
     /// The aspect factor `alpha = nc / (p * mc)` (approximate after
     /// rounding to kernel tiles).
     pub fn alpha(&self) -> f64 {
@@ -257,11 +237,7 @@ impl std::fmt::Display for CbBlockShape {
             self.p,
             self.mc,
             self.alpha()
-        )?;
-        if self.has_outer_level() {
-            write!(f, "+outer[{}x{}]", self.ko_blocks.max(1), self.no_blocks.max(1))?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -377,20 +353,6 @@ mod tests {
         let (llc1, l21) = CbBlockShape::mc_bounds(1, 1.0, 256 * KIB, 20 * MIB, 4);
         assert!(mc_llc < llc1);
         assert_eq!(mc_l2, l21);
-    }
-
-    #[test]
-    fn outer_tiles_builder_round_trips() {
-        let s = CbBlockShape::fixed(2, 8, 8, 16);
-        assert!(!s.has_outer_level());
-        let t = s.with_outer_tiles(2, 3);
-        assert!(t.has_outer_level());
-        assert_eq!((t.ko_blocks, t.no_blocks), (2, 3));
-        // Surfaces and MACs are properties of the L2-level block — the
-        // outer tiling only reorders the schedule.
-        assert_eq!(t.a_surface(), s.a_surface());
-        assert_eq!(t.block_macs(), s.block_macs());
-        assert_eq!(format!("{t}"), format!("{s}+outer[2x3]"));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use crate::panel::{PanelAction, PanelCache};
-use crate::schedule::BlockCoord;
+use crate::schedule::{BlockCoord, BlockGrid, KFirstSchedule};
 
 /// Problem and block extents needed to size surfaces.
 #[derive(Debug, Clone, Copy)]
@@ -263,40 +263,18 @@ pub fn dram_traffic_with_panel_ring(
     t
 }
 
-/// DRAM traffic of the **two-level** CB schedule over the same block
-/// geometry: the K/N block grid is cut into outer tiles of
-/// `ko_blocks x no_blocks` L2-level blocks
-/// ([`crate::schedule::TwoLevelSchedule`]) and the resulting block order
-/// replays through the *same* accounting as [`dram_traffic`] — so the
-/// two-level model reconciles u64-exactly with the executor's element
-/// counters by construction (both walk the identical coordinate
-/// sequence under identical share rules).
+/// [`dram_traffic_with_panel_ring`] over the K-first schedule of the
+/// grid `params` describes, under the benchmark's older signature.
 ///
-/// `0` in either outer extent disables that level; both `0` returns
-/// exactly [`dram_traffic`] over the one-level K-first schedule.
+/// Kept only because the repository benchmark's `model_loads`
+/// (`perfbench/src/gemm.rs`) still calls it with a shape's
+/// [`ko_blocks`](crate::shape::CbBlockShape::ko_blocks) and
+/// [`no_blocks`](crate::shape::CbBlockShape::no_blocks), which are always
+/// 0. Remove it with those fields at the next benchmark revision.
 ///
-/// Under [`CResidency::HoldInLlc`], tiling K (`ko_blocks < kb`) spills
-/// each partial-C panel once per outer-tile departure — the MOMMS
-/// trade: bounded LLC-level C working set bought with partial round
-/// trips. Tiling only N never spills (every panel's reduction still
-/// completes within its tile).
-pub fn two_level_traffic(
-    params: TrafficParams,
-    ko_blocks: usize,
-    no_blocks: usize,
-    c_policy: CResidency,
-) -> Traffic {
-    let grid = crate::schedule::BlockGrid::for_problem(
-        params.m, params.k, params.n, params.bm, params.bk, params.bn,
-    );
-    let sched =
-        crate::schedule::TwoLevelSchedule::new(grid, params.m, params.n, ko_blocks, no_blocks);
-    dram_traffic(sched, params, c_policy)
-}
-
-/// [`two_level_traffic`] with B loads served by the executor's panel ring
-/// (see [`dram_traffic_with_panel_ring`]): the exact model for the
-/// pipelined executor's measured counters on a two-level schedule.
+/// # Panics
+/// Panics when either extent is non-zero (there is no outer tiling) or
+/// when `ring_depth < 2`.
 pub fn two_level_traffic_with_panel_ring(
     params: TrafficParams,
     ko_blocks: usize,
@@ -304,95 +282,16 @@ pub fn two_level_traffic_with_panel_ring(
     c_policy: CResidency,
     ring_depth: usize,
 ) -> Traffic {
-    let grid = crate::schedule::BlockGrid::for_problem(
-        params.m, params.k, params.n, params.bm, params.bk, params.bn,
-    );
-    let sched =
-        crate::schedule::TwoLevelSchedule::new(grid, params.m, params.n, ko_blocks, no_blocks);
-    dram_traffic_with_panel_ring(sched, params, c_policy, ring_depth)
-}
-
-#[cfg(test)]
-mod two_level_tests {
-    use super::*;
-    use crate::schedule::{BlockGrid, KFirstSchedule};
-
-    fn params(m: usize, k: usize, n: usize, b: usize) -> TrafficParams {
-        TrafficParams { m, k, n, bm: b, bk: b, bn: b }
-    }
-
-    #[test]
-    fn disabled_outer_level_equals_one_level_exactly() {
-        for (m, k, n, b) in [(16, 16, 16, 4), (10, 9, 7, 4), (8, 24, 32, 8)] {
-            let p = params(m, k, n, b);
-            let grid = BlockGrid::for_problem(m, k, n, b, b, b);
-            for policy in [CResidency::HoldInLlc, CResidency::StreamToDram] {
-                let one = dram_traffic(KFirstSchedule::new(grid, m, n), p, policy);
-                assert_eq!(two_level_traffic(p, 0, 0, policy), one, "{policy:?}");
-                // Oversized tiles are the same degenerate case.
-                assert_eq!(two_level_traffic(p, 99, 99, policy), one, "{policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn k_tiling_pays_exactly_one_spill_round_trip_per_panel_per_extra_tile() {
-        // kb = 4 tiled at ko = 2: every (m, n) panel's reduction is
-        // interrupted once, costing one partial write + one partial read.
-        let p = params(8, 16, 8, 4); // mb = 2, kb = 4, nb = 2
-        let t = two_level_traffic(p, 2, 0, CResidency::HoldInLlc);
-        let panel = (4 * 4) as u64;
-        let panels = 2 * 2;
-        assert_eq!(t.c_partial_writes, panels * panel);
-        assert_eq!(t.c_partial_reads, panels * panel);
-        assert_eq!(t.c_final_writes, (8 * 8) as u64);
-        // The one-level schedule never spills; the two-level C total is
-        // higher by exactly the round trips.
-        let one = two_level_traffic(p, 0, 0, CResidency::HoldInLlc);
-        assert_eq!(one.c_partial_writes + one.c_partial_reads, 0);
-        assert_eq!(t.c_total(), one.c_total() + 2 * panels * panel);
-    }
-
-    #[test]
-    fn n_only_tiling_never_spills_partials() {
-        let p = params(8, 16, 32, 4);
-        let t = two_level_traffic(p, 0, 2, CResidency::HoldInLlc);
-        assert_eq!(t.c_partial_writes, 0);
-        assert_eq!(t.c_partial_reads, 0);
-        assert_eq!(t.c_final_writes, (8 * 32) as u64);
-    }
-
-    #[test]
-    fn panel_ring_variant_never_loads_more_b_than_adjacency() {
-        let p = params(8, 16, 16, 4);
-        let adj = two_level_traffic(p, 2, 2, CResidency::HoldInLlc);
-        let ring = two_level_traffic_with_panel_ring(p, 2, 2, CResidency::HoldInLlc, 4);
-        assert!(ring.b_loads <= adj.b_loads);
-        // A and C accounting are identical between the two.
-        assert_eq!(ring.a_loads, adj.a_loads);
-        assert_eq!(ring.c_total(), adj.c_total());
-    }
-
-    #[test]
-    fn one_level_total_is_the_floor_for_these_grids() {
-        // The K-first boustrophedon is the paper's IO-minimal order; any
-        // outer tiling trades C round trips (K tiles) or input reloads
-        // (tile edges) and can only move more data in total. C finals are
-        // invariant: every output element is written exactly once.
-        let p = params(16, 16, 16, 4);
-        let one = two_level_traffic(p, 0, 0, CResidency::HoldInLlc);
-        for (ko, no) in [(2, 0), (0, 2), (2, 2), (1, 1)] {
-            let t = two_level_traffic(p, ko, no, CResidency::HoldInLlc);
-            assert!(t.total() >= one.total(), "ko={ko} no={no}");
-            assert_eq!(t.c_final_writes, one.c_final_writes);
-        }
-    }
+    assert!(ko_blocks == 0 && no_blocks == 0, "outer (two-level) tiling is not supported");
+    let TrafficParams { m, k, n, bm, bk, bn } = params;
+    let schedule = KFirstSchedule::new(BlockGrid::for_problem(m, k, n, bm, bk, bn), m, n);
+    dram_traffic_with_panel_ring(schedule, params, c_policy, ring_depth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{shared_surfaces, BlockGrid, KFirstSchedule, OuterLoop, Surface};
+    use crate::schedule::{shared_surfaces, OuterLoop, Surface};
 
     fn params(m: usize, k: usize, n: usize, b: usize) -> TrafficParams {
         TrafficParams { m, k, n, bm: b, bk: b, bn: b }
@@ -659,5 +558,20 @@ mod tests {
             2,
         );
         assert_eq!(t.total(), 0);
+    }
+
+    #[test]
+    fn two_level_wrapper_is_the_one_level_ring_model() {
+        for p in [params(16, 16, 16, 4), params(10, 9, 7, 4), params(20, 8, 12, 4)] {
+            let one = dram_traffic_with_panel_ring(kfirst(p), p, CResidency::HoldInLlc, 3);
+            assert_eq!(two_level_traffic_with_panel_ring(p, 0, 0, CResidency::HoldInLlc, 3), one);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not supported")]
+    fn two_level_wrapper_rejects_outer_tiles() {
+        let p = params(16, 16, 16, 4);
+        let _ = two_level_traffic_with_panel_ring(p, 2, 0, CResidency::HoldInLlc, 2);
     }
 }

@@ -210,26 +210,6 @@ impl std::fmt::Display for TuneDecision {
     }
 }
 
-/// How well the pipelined executor hid packing IO under compute, from a
-/// call's measured [`ExecStats`](crate::executor::ExecStats) phase timings.
-///
-/// Returns the fraction of pack time that overlaps compute under the
-/// constant-bandwidth assumption that both phases stream at their measured
-/// rates: `1.0` when packing fits entirely under compute
-/// (`pack_ns <= compute_ns`, the regime the CB block shape is chosen for),
-/// degrading toward `compute/pack` when the call is pack-bound. An idle
-/// call (both zero) reports `1.0` — nothing needed hiding.
-pub fn overlap_efficiency(pack_ns: u64, compute_ns: u64) -> f64 {
-    if pack_ns == 0 {
-        return 1.0;
-    }
-    if pack_ns <= compute_ns {
-        1.0
-    } else {
-        compute_ns as f64 / pack_ns as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,15 +344,5 @@ mod tests {
         assert!(!r2.contains("problem clamp"));
         assert!(r2.contains("park"));
         assert!(r2.contains("explicit config"));
-    }
-
-    #[test]
-    fn overlap_efficiency_regimes() {
-        assert_eq!(overlap_efficiency(0, 0), 1.0); // idle call
-        assert_eq!(overlap_efficiency(0, 100), 1.0); // all packs skipped
-        assert_eq!(overlap_efficiency(50, 100), 1.0); // fully hidden
-        assert_eq!(overlap_efficiency(100, 100), 1.0); // boundary
-        assert!((overlap_efficiency(200, 100) - 0.5).abs() < 1e-12); // pack-bound
-        assert_eq!(overlap_efficiency(100, 0), 0.0); // nothing to hide under
     }
 }
